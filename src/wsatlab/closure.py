@@ -2,9 +2,13 @@
 
 ``close`` is faithful to the simultaneous-round semantics: every edge added
 in round t is certified by an embedding checked against G_{t-1} alone.
-``percolates`` additionally has a sequential work-queue fast path for clique
-patterns; its agreement with the round engine (confluence of the monotone
-automaton) is enforced by differential tests, never assumed silently.
+``percolates`` decides clique patterns without the round engine: K_3 by
+connectivity, K_4 by the clique process (``_k4_closure_cliques``) and K_r,
+r >= 5, by the sequential work queue (``_clique_close_seq``), which
+``closure_contains_edge`` also runs for every clique pattern.  Their
+agreement with the round engine (confluence of the monotone automaton) and
+with ``oracle.naive_close`` is enforced by differential tests, never assumed
+silently.
 """
 
 from __future__ import annotations
@@ -346,6 +350,64 @@ def _clique_close_seq(
     return work, False
 
 
+def _k4_closure_cliques(g: Graph) -> list[int]:
+    """Vertex masks of the cliques whose union is the K_4-closure of g.
+
+    The clique-process view of K_4-percolation (Balogh-Bollobas-Morris,
+    *Graph bootstrap percolation*, 2012): cliques of the closure merge when
+    two share two vertices, or when three pairwise share one vertex each,
+    the three shared vertices distinct.  Both rules are one rule seen from a
+    clique A: a vertex z with two neighbours a, b in A joins it, since
+    {z, a, b, c} is a K_4 minus zc for every other c in A.
+
+    Each edge of g that no clique covers yet grows into a clique A by that
+    rule in U, the union of g and the cliques found so far, and A's edges
+    then join U.  A clique at its fixed point stays there when a later
+    clique A' grows: a vertex of A' seeing a second vertex d of the earlier
+    clique would have pulled d into A', which holds the shared vertex too.
+    So at the end no vertex sees two vertices of any clique, U contains no
+    K_4 minus an edge with that edge missing, and U is the closure.  Every
+    clique is contained in the later ones it meets in two vertices, so the
+    cliques no later one covers are returned, in the order they were grown.
+    Once a clique spans the graph the answer is ``[full]``.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    union = list(g.rows)
+    covered = [0] * n
+    grown: list[int] = []
+    for u in range(n):
+        higher = full ^ ((2 << u) - 1)
+        while m := g.rows[u] & higher & ~covered[u]:
+            v = (m & -m).bit_length() - 1
+            a = 1 << u | 1 << v
+            one = union[u] | union[v]   # vertices with a neighbour in a
+            two = union[u] & union[v]   # ... with two neighbours in a
+            new = two & ~a
+            while new:
+                a |= new
+                for x in bits(new):
+                    r = union[x]
+                    two |= one & r
+                    one |= r
+                new = two & ~a
+            if a == full:
+                return [full]
+            grown.append(a)
+            for x in bits(a):
+                union[x] |= a
+                covered[x] |= a
+    cliques = []
+    seen = [0] * n
+    for a in reversed(grown):
+        u, v = bits(a)[:2]
+        if not seen[u] >> v & 1:
+            cliques.append(a)
+            for x in bits(a):
+                seen[x] |= a
+    return cliques[::-1]
+
+
 # -- the round engine ---------------------------------------------------------
 
 
@@ -407,19 +469,33 @@ def _next_candidates(
 
 
 def percolates(g: Graph, h: Graph) -> bool:
-    """True iff the closure of g under h-bootstrap is complete."""
+    """True iff the closure of g under h-bootstrap is complete.
+
+    Clique patterns take exact shortcuts.  K_2 always percolates.  The K_3
+    closure turns each component into a clique, so K_3 percolation is
+    connectivity.  For K_r, r >= 4, a vertex of degree below r - 2 that
+    misses an edge refutes percolation.  Past that rule the clique process
+    (``_k4_closure_cliques``) decides K_4 and the sequential work queue
+    (``_clique_close_seq``, with its infection certificate) decides r >= 5.
+    Other patterns run the round engine.
+    """
     info = pattern_info(h)
     if info.is_clique:
-        if info.n == 2:
+        r = info.n
+        if r == 2:
             return True  # every pair completes a K_2 immediately
+        if r == 3:
+            return is_connected(g)
         # a vertex of degree < r-2 can never gain an edge (a completing copy
         # would need r-2 present edges at it), so one with a missing edge
         # certifies non-percolation
         for u in range(g.n):
             d = g.degree(u)
-            if d < info.n - 2 and d < g.n - 1:
+            if d < r - 2 and d < g.n - 1:
                 return False
-        final, certified = _clique_close_seq(g, info.n, early_complete=True)
+        if r == 4:
+            return g.n == 1 or _k4_closure_cliques(g) == [(1 << g.n) - 1]
+        final, certified = _clique_close_seq(g, r, early_complete=True)
         return certified or final.is_complete()
     return close(g, h).final.is_complete()
 

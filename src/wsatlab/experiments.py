@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +47,17 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     if n < 1:
         raise ValueError("n >= 1 required")
     rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    drawn = rng.random(n * (n - 1) // 2) < p
     m = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, 1)
-    m[iu] = rng.random(len(iu[0])) < p
+    # boolean-mask assignment fills the upper triangle in row-major order,
+    # the order of np.triu_indices, without its int64 index arrays
+    m[np.triu(np.ones((n, n), dtype=bool), 1)] = drawn
     m |= m.T
-    packed = np.packbits(m, axis=1, bitorder="little")
+    data = np.packbits(m, axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8
     g = Graph(n)
-    g.rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-    g._m = int(m[iu].sum())
+    g.rows = [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
+    g._m = int(np.count_nonzero(drawn))
     return g
 
 
@@ -67,12 +71,24 @@ def worker_count(workers: int | None = None) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _parallel_map(fn, items: list, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (4 * workers))
+@contextmanager
+def _trial_map(workers: int):
+    """Yields ``map(fn, items) -> list`` for one Monte Carlo call: in-process
+    at one worker, else on a single process pool that every probe of the
+    call reuses.  Results come back in task order, and the chunk size depends
+    on the task and worker counts only."""
+    if workers <= 1:
+        yield lambda fn, items: [fn(x) for x in items]
+        return
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
+
+        def pool_map(fn, items: list) -> list:
+            if len(items) <= 1:
+                return [fn(x) for x in items]
+            chunk = max(1, len(items) // (4 * workers))
+            return list(ex.map(fn, items, chunksize=chunk))
+
+        yield pool_map
 
 
 def _percolation_trial(args: tuple[int, float, int, str]) -> bool:
@@ -122,14 +138,15 @@ def percolation_curve(
     h_g6 = serialize_graph6(pattern)
     w = worker_count(workers)
     points = []
-    for pi, p in enumerate(ps):
-        tasks = [
-            (n, p, mix_seed(master_seed, (pi << 32) | t), h_g6)
-            for t in range(trials)
-        ]
-        succ = sum(_parallel_map(_percolation_trial, tasks, w))
-        lo, hi = wilson_interval(succ, trials)
-        points.append(CurvePoint(n, p, trials, succ, succ / trials, lo, hi))
+    with _trial_map(w) as trial_map:
+        for pi, p in enumerate(ps):
+            tasks = [
+                (n, p, mix_seed(master_seed, (pi << 32) | t), h_g6)
+                for t in range(trials)
+            ]
+            succ = sum(trial_map(_percolation_trial, tasks))
+            lo, hi = wilson_interval(succ, trials)
+            points.append(CurvePoint(n, p, trials, succ, succ / trials, lo, hi))
     return points
 
 
@@ -163,64 +180,64 @@ def bisect_pc(
     h_g6 = serialize_graph6(pattern)
     w = worker_count(workers)
     stats = analyze(pattern)
-    probes: list[tuple[float, int, int, float]] = []
-
-    def probe(p: float) -> float:
-        idx = len(probes)
-        tasks = [
-            (n, p, mix_seed(master_seed, (idx << 40) | t), h_g6)
-            for t in range(trials)
-        ]
-        succ = sum(_parallel_map(_percolation_trial, tasks, w))
-        frac = succ / trials
-        probes.append((p, succ, trials, frac))
-        return frac
-
     if stats.lam is not None and stats.lam > 0:
         start = min(0.9, float(n) ** (-1.0 / float(stats.lam)))
     else:
         start = 0.5
+    probes: list[tuple[float, int, int, float]] = []
+    with _trial_map(w) as trial_map:
 
-    lo, hi = 0.0, 1.0
-    p = start
-    if probe(p) >= 0.5:
-        hi = p
-        while len(probes) < max_probes:
-            p /= 2
-            if p < 1e-9:
-                # everything percolates down to negligible p
-                return PcEstimate(n, 0.0, (0.0, hi), trials, probes, True)
-            if probe(p) >= 0.5:
-                hi = p
-            else:
-                lo = p
-                break
-    else:
-        lo = p
-        while len(probes) < max_probes and p < 1.0:
-            p = min(1.0, p * 2)
-            if probe(p) >= 0.5:
-                hi = p
-                break
-            lo = p
+        def probe(p: float) -> float:
+            idx = len(probes)
+            tasks = [
+                (n, p, mix_seed(master_seed, (idx << 40) | t), h_g6)
+                for t in range(trials)
+            ]
+            succ = sum(trial_map(_percolation_trial, tasks))
+            frac = succ / trials
+            probes.append((p, succ, trials, frac))
+            return frac
 
-    while len(probes) < max_probes:
-        mid = (lo + hi) / 2
-        if hi - lo < tolerance * mid:
-            break
-        frac = probe(mid)
-        ci = wilson_interval(probes[-1][1], trials)
-        if ci[0] < 0.5 < ci[1]:
-            # the trial budget cannot resolve which side of p_c this probe
-            # sits on, so the midpoint itself is the estimate
-            return PcEstimate(n, mid, (lo, hi), trials, probes, True)
-        if frac >= 0.5:
-            hi = mid
+        lo, hi = 0.0, 1.0
+        p = start
+        if probe(p) >= 0.5:
+            hi = p
+            while len(probes) < max_probes:
+                p /= 2
+                if p < 1e-9:
+                    # everything percolates down to negligible p
+                    return PcEstimate(n, 0.0, (0.0, hi), trials, probes, True)
+                if probe(p) >= 0.5:
+                    hi = p
+                else:
+                    lo = p
+                    break
         else:
-            lo = mid
-    p_hat = (lo + hi) / 2
-    converged = hi - lo < tolerance * p_hat if p_hat > 0 else True
-    return PcEstimate(n, p_hat, (lo, hi), trials, probes, converged)
+            lo = p
+            while len(probes) < max_probes and p < 1.0:
+                p = min(1.0, p * 2)
+                if probe(p) >= 0.5:
+                    hi = p
+                    break
+                lo = p
+
+        while len(probes) < max_probes:
+            mid = (lo + hi) / 2
+            if hi - lo < tolerance * mid:
+                break
+            frac = probe(mid)
+            ci = wilson_interval(probes[-1][1], trials)
+            if ci[0] < 0.5 < ci[1]:
+                # the trial budget cannot resolve which side of p_c this probe
+                # sits on, so the midpoint itself is the estimate
+                return PcEstimate(n, mid, (lo, hi), trials, probes, True)
+            if frac >= 0.5:
+                hi = mid
+            else:
+                lo = mid
+        p_hat = (lo + hi) / 2
+        converged = hi - lo < tolerance * p_hat if p_hat > 0 else True
+        return PcEstimate(n, p_hat, (lo, hi), trials, probes, converged)
 
 
 # -- theory markers and ladder statistics ----------------------------------------
@@ -315,7 +332,8 @@ def ladder_base_experiment(cfg: TrialConfig) -> dict:
         (cfg.n, p, mix_seed(cfg.master_seed, t), h_g6, height)
         for t in range(cfg.trials)
     ]
-    counts = _parallel_map(_ladder_count_trial, tasks, w)
+    with _trial_map(w) as trial_map:
+        counts = trial_map(_ladder_count_trial, tasks)
     counts_arr = np.asarray(counts, dtype=float)
     mean = float(counts_arr.mean())
     se = float(counts_arr.std(ddof=1) / math.sqrt(len(counts_arr))) if len(counts_arr) > 1 else 0.0

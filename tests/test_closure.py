@@ -1,17 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsatlab.closure import (
     _clique_close_seq,
+    _k4_closure_cliques,
     close,
     closure_contains_edge,
     find_completion,
     percolates,
 )
-from wsatlab.graphs import Graph, make_clique, make_complete_bipartite
+from wsatlab.graphs import Graph, bits, make_clique, make_complete_bipartite
 from wsatlab.oracle import enumerate_labeled_graphs, naive_close
 from wsatlab.experiments import sample_gnp
+from wsatlab.patterns import relabel
 
 
 def test_find_completion_simple():
@@ -122,3 +125,82 @@ def test_bipartite_pattern_against_oracle():
     for seed in range(10):
         g = sample_gnp(7, 0.45, 150 + seed)
         assert close(g, h).final == naive_close(g, h)
+
+
+def test_k3_percolation_is_connectivity_all_graphs_n5():
+    h = make_clique(3)
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert percolates(g, h) == naive_close(g, h).is_complete()
+
+
+# -- the K_4 clique process ---------------------------------------------------
+
+
+def clique_union(n: int, cliques: list[int]) -> Graph:
+    rows = [0] * n
+    for a in cliques:
+        for x in bits(a):
+            rows[x] |= a & ~(1 << x)
+    return Graph.from_rows(n, rows)
+
+
+def assert_k4_cliques_valid(cliques: list[int]) -> None:
+    """Each mask spans at least an edge, and no two share two vertices."""
+    assert all(a.bit_count() >= 2 for a in cliques)
+    for a, b in itertools.combinations(cliques, 2):
+        assert (a & b).bit_count() <= 1
+
+
+def test_k4_cliques_match_oracle_all_graphs_n5():
+    h = make_clique(4)
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            cliques = _k4_closure_cliques(g)
+            assert_k4_cliques_valid(cliques)
+            assert clique_union(n, cliques) == naive_close(g, h)
+
+
+def test_k4_cliques_match_sequential_engine_all_graphs_n6():
+    for g in enumerate_labeled_graphs(6):
+        cliques = _k4_closure_cliques(g)
+        assert_k4_cliques_valid(cliques)
+        assert clique_union(6, cliques) == _clique_close_seq(g, 4)[0]
+
+
+@pytest.mark.parametrize(
+    "n,edges,expected",
+    [
+        # triangle 012 with pendant edge 23: clique {2,3} meets 012 once
+        (4, [(0, 1), (0, 2), (1, 2), (2, 3)], [0b0111, 0b1100]),
+        # bowtie: two triangles sharing vertex 2 stay apart
+        (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], [0b00111, 0b11100]),
+        # K_4 minus an edge closes
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [0b1111]),
+        # triangle 012; 0345 and 1367 are K_4 minus 03 and minus 13, which
+        # close by two-vertex merges; only then do the three cliques meet
+        # pairwise in 0, 1 and 3, and the closure is K_8
+        (8, [(0, 1), (0, 2), (1, 2),
+             (0, 4), (0, 5), (4, 5), (3, 4), (3, 5),
+             (1, 6), (1, 7), (6, 7), (3, 6), (3, 7)], [0xFF]),
+    ],
+    ids=["pendant-edge", "bowtie", "k4-minus-edge", "merge-then-triangle"],
+)
+def test_k4_cliques_named_cases(n, edges, expected):
+    g = Graph.from_edges(n, edges)
+    assert _k4_closure_cliques(g) == expected
+    assert clique_union(n, expected) == naive_close(g, make_clique(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.floats(0.0, 0.6), st.integers(0, 2**32), st.randoms())
+def test_k4_cliques_match_sequential_engine_under_relabelling(n, p, seed, rnd):
+    g = sample_gnp(n, p, seed)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    expected = _clique_close_seq(g, 4)[0]
+    for graph, closed in ((g, expected), (relabel(g, perm), relabel(expected, perm))):
+        cliques = _k4_closure_cliques(graph)
+        assert_k4_cliques_valid(cliques)
+        assert clique_union(n, cliques) == closed
+        assert percolates(graph, make_clique(4)) == closed.is_complete()

@@ -1,8 +1,11 @@
+import hashlib
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from wsatlab.graphs import make_clique
+from wsatlab import experiments
+from wsatlab.graphs import make_clique, serialize_graph6
 from wsatlab.ladders import LadderSpec
 from wsatlab.patterns import analyze
 from wsatlab.experiments import (
@@ -25,6 +28,30 @@ def test_sample_gnp_deterministic():
     b = sample_gnp(25, 0.3, 777)
     assert a == b
     assert a != sample_gnp(25, 0.3, 778)
+
+
+@pytest.mark.parametrize(
+    "n,p,seed,edges,graph6",
+    [
+        (1, 0.5, 3, 0, "@"),
+        (5, 0.5, 1, 7, "Dfk"),
+        (30, 0.2, 777, 79,
+         "]?cBI?_??@P_`?_oI?G???CCa?SAGoC_s?w????FqG??H_MGgOq_?OPI?GGG???_OM?`?AH_K?"),
+        (100, 0.07, 97, 371,
+         "sha256:eecfe272b068521d2a027d41fb689ff71674a230f4d9cda843ffe8851d95d2ec"),
+        (257, 0.03, 12345, 957,
+         "sha256:a9af9c62596e06f8976ad5f2824c7841db7ae4d255ba97ffc0322ea155eae7e2"),
+    ],
+)
+def test_sample_gnp_pinned_draws(n, p, seed, edges, graph6):
+    # the Philox stream and its upper-triangle row-major layout are part of
+    # the reproducibility contract: these draws must never change
+    g = sample_gnp(n, p, seed)
+    text = serialize_graph6(g)
+    if graph6.startswith("sha256:"):
+        text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    assert text == graph6
+    assert g.edge_count == edges == sum(r.bit_count() for r in g.rows) // 2
 
 
 def test_sample_gnp_extremes_and_stats():
@@ -154,3 +181,25 @@ def test_ladder_experiment_alpha_beta_parameters():
     assert out["p"] == pytest.approx((2.0 / 50) ** 0.5)
     assert out["height"] == max(1, round(0.3 * math.log(50)))
     assert "gamma" in out and out["gamma"] == pytest.approx(1 - 1 / (2.0**2 - 1))
+
+
+def test_one_pool_per_monte_carlo_call(monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    k3, k4 = make_clique(3), make_clique(4)
+    serial = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=1)
+    assert pools == []
+    pooled = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=2)
+    assert len(pools) == 1
+    assert len(serial.probes) > 1 and pooled.probes == serial.probes
+    ps = [0.15, 0.25, 0.35]
+    serial_curve = percolation_curve(18, k4, ps, 20, 11, workers=1)
+    pooled_curve = percolation_curve(18, k4, ps, 20, 11, workers=2)
+    assert len(pools) == 2
+    assert pooled_curve == serial_curve
