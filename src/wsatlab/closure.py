@@ -2,23 +2,25 @@
 
 ``close`` is faithful to the simultaneous-round semantics: every edge added
 in round t is certified by an embedding checked against G_{t-1} alone.
-``percolates`` decides clique patterns without the round engine: K_3 by
-connectivity, K_4 by the clique process (``_k4_closure_cliques``) and K_r,
-r >= 5, by the sequential work queue (``_clique_close_seq``), which
-``closure_contains_edge`` also runs for every clique pattern.  Their
-agreement with the round engine (confluence of the monotone automaton) and
-with ``oracle.naive_close`` is enforced by differential tests, never assumed
-silently.
+Clique patterns have exact shortcuts that never run the round engine.
+``percolates`` decides K_3 by connectivity, K_4 by the clique process
+(``_k4_closure_cliques``) and K_r, r >= 5, by the sequential work queue
+(``_clique_close_seq``).  ``closure_contains_edge`` answers K_4 by the
+clique process too, and other cliques by the infection certificate
+(``_infection_spans``) or else the work queue stopped at the target.
+Their agreement with the round engine (confluence of the monotone
+automaton) and with ``oracle.naive_close`` is enforced by differential
+tests, never assumed silently.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graphs import Graph, bits, canon_edge, is_connected, serialize_graph6
+from .graphs import Graph, bits, canon_edge, is_connected
 
 
 @dataclass(frozen=True)
@@ -37,15 +39,6 @@ class Embedding:
             for a, b in pattern.edges()
         ]
 
-    def support_edges(self, pattern: Graph) -> list[tuple[int, int]]:
-        """Host images of the non-anchor pattern edges (all must be present)."""
-        a0, b0 = self.anchor
-        return [
-            canon_edge(self.mapping[a], self.mapping[b])
-            for a, b in pattern.edges()
-            if (a, b) != (a0, b0)
-        ]
-
 
 @dataclass
 class RoundRecord:
@@ -58,6 +51,10 @@ class ClosureTrace:
     initial: Graph
     rounds: list[RoundRecord]
     final: Graph
+    # the per-pattern certificate index of ``witness``, built on first use
+    certificate_index: object = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def added_edges(self) -> list[tuple[int, int]]:
         return [e for r in self.rounds for e, _ in r.added]
@@ -111,14 +108,12 @@ class _SearchPlan:
 
 
 @lru_cache(maxsize=256)
-def _pattern_info_by_g6(g6: str) -> _PatternInfo:
-    from .graphs import parse_graph6
-
-    return _PatternInfo(parse_graph6(g6))
+def _pattern_info_by_rows(n: int, rows: tuple[int, ...]) -> _PatternInfo:
+    return _PatternInfo(Graph.from_rows(n, list(rows)))
 
 
 def pattern_info(h: Graph) -> _PatternInfo:
-    return _pattern_info_by_g6(serialize_graph6(h))
+    return _pattern_info_by_rows(h.n, tuple(h.rows))
 
 
 def _edge_orbit_reps(h: Graph) -> list[tuple[int, int]]:
@@ -281,9 +276,10 @@ def _clique_close_seq(
     Returns (final graph, flag).  With ``stop`` the flag reports whether the
     stop edge was added (the graph is then partial).  With ``early_complete``
     the flag reports a certified-complete closure detected by the infection
-    test; the returned graph may again be partial.  Otherwise the final graph
-    coincides with the round-synchronous closure by confluence
-    (differentially tested).
+    test; the returned graph may again be partial.  With both, the flag
+    reports either, so it is set iff ``stop`` is in the closure.  Otherwise
+    the final graph coincides with the round-synchronous closure by
+    confluence (differentially tested).
     """
     work = g.copy()
     rows = work.rows
@@ -501,13 +497,23 @@ def percolates(g: Graph, h: Graph) -> bool:
 
 
 def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
-    """Early-exit test that ``target`` ends up in the closure of g."""
+    """Does ``target`` end up in the closure of g?
+
+    K_4 asks the clique process whether one closure clique holds both
+    endpoints.  Other cliques (r = 3 or r >= 5) run the work queue with
+    both exits: the infection certificate, tried before the queue starts,
+    proves a complete closure, and the queue stops once it adds
+    ``target``.  Other patterns run the round engine.
+    """
     target = canon_edge(*target)
     if g.has_edge(*target):
         return True
     info = pattern_info(h)
+    if info.is_clique and info.n == 4:
+        pair = 1 << target[0] | 1 << target[1]
+        return any(c & pair == pair for c in _k4_closure_cliques(g))
     if info.is_clique and info.n >= 3:
-        _, hit = _clique_close_seq(g, info.n, stop=target)
+        _, hit = _clique_close_seq(g, info.n, stop=target, early_complete=True)
         return hit
     trace = close(g, h)
     return trace.final.has_edge(*target)

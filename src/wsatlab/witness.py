@@ -9,15 +9,20 @@ The closure trace drives two bookkeeping passes:
   at a time, the added edge of each copy colored red, and the evolving
   hypergraph components (copies sharing a graph edge) are tracked so the
   per-component edge bounds can be verified after every step.
+
+Both passes read one certificate index per (trace, pattern): each added
+edge's completing copy as canonical edges, support and bitmasks, built on
+first use and kept on the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .closure import ClosureTrace, Embedding, close
-from .graphs import Graph, canon_edge
+from .closure import ClosureTrace, Embedding, close, closure_contains_edge
+from .graphs import Graph, bits, canon_edge
 from .patterns import PatternStats
 
 Edge = tuple[int, int]
@@ -73,6 +78,70 @@ class Report:
         return not self.violations
 
 
+# -- certificate index --------------------------------------------------------
+
+
+class _Certificate(NamedTuple):
+    """What the witness pass and every replay need from one added edge's
+    completing copy.  Bitmasks over edges use the index's edge ids."""
+
+    emb: Embedding
+    copy: tuple[Edge, ...]      # canonical copy edges, in pattern edge order
+    support: frozenset[Edge]    # copy edges other than the anchor image
+    pending: tuple[Edge, ...]   # sorted support edges absent from the initial graph
+    vertices: int               # bitmask of the copy's host vertices
+    edges: int                  # bitmask of the copy edges
+    open: int                   # ... of the copy edges absent from the initial graph
+    bit: int                    # id bit of the added edge itself
+
+
+class _CertificateIndex(NamedTuple):
+    key: tuple
+    certs: dict[Edge, _Certificate]   # in trace order
+    id_of: dict[Edge, int]            # dense edge ids, in order of first use
+    edge_of: list[Edge]
+
+
+def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex:
+    initial = trace.initial
+    pattern_edges = list(h.edges())
+    ids: dict[Edge, int] = {}
+    certs: dict[Edge, _Certificate] = {}
+    for rnd in trace.rounds:
+        for e, emb in rnd.added:
+            m = emb.mapping
+            copy = tuple(canon_edge(m[a], m[b]) for a, b in pattern_edges)
+            support = frozenset(
+                f for f, pe in zip(copy, pattern_edges) if pe != emb.anchor
+            )
+            pending = tuple(sorted(f for f in support if not initial.has_edge(*f)))
+            vertices = edges = open_ = 0
+            for x in m:
+                vertices |= 1 << x
+            for f in copy:
+                bit = 1 << ids.setdefault(f, len(ids))
+                edges |= bit
+                if not initial.has_edge(*f):
+                    open_ |= bit
+            certs[e] = _Certificate(emb, copy, support, pending, vertices, edges,
+                                    open_, 1 << ids.setdefault(e, len(ids)))
+    return _CertificateIndex(key, certs, ids, list(ids))
+
+
+def _certificates(trace: ClosureTrace, h: Graph) -> _CertificateIndex:
+    """The certificate index of (trace, h), memoized on the trace.
+
+    The key holds the pattern and the number of certificates, so another
+    pattern, or a trace whose rounds gained or lost certificates since, is
+    indexed afresh.
+    """
+    key = (h.n, tuple(h.rows), sum(len(rnd.added) for rnd in trace.rounds))
+    index = trace.certificate_index
+    if index is None or index.key != key:
+        index = trace.certificate_index = _build_index(trace, h, key)
+    return index
+
+
 # -- witness set algorithm ---------------------------------------------------
 
 
@@ -86,12 +155,10 @@ def close_with_witnesses(
     witnesses: dict[Edge, frozenset[Edge]] = {
         e: frozenset([e]) for e in g.edges()
     }
-    for rnd in trace.rounds:
-        for edge, emb in rnd.added:
-            support = emb.support_edges(h)
-            witnesses[edge] = frozenset().union(
-                *(witnesses[f] for f in support)
-            )
+    for edge, cert in _certificates(trace, h).certs.items():
+        witnesses[edge] = frozenset().union(
+            *(witnesses[f] for f in cert.support)
+        )
     records = {
         e: _make_record(e, w, stats) for e, w in witnesses.items()
     }
@@ -123,13 +190,15 @@ def _make_record(target: Edge, edges: frozenset[Edge], stats: PatternStats) -> W
 
 
 class _Component:
+    """A hypergraph component: vertex, edge and red-edge bitmasks."""
+
     __slots__ = ("cid", "vertices", "edges", "red")
 
     def __init__(self, cid: int):
         self.cid = cid
-        self.vertices: set[int] = set()
-        self.edges: set[Edge] = set()
-        self.red: set[Edge] = set()
+        self.vertices = 0
+        self.edges = 0
+        self.red = 0
 
 
 def rea_replay(
@@ -145,14 +214,13 @@ def rea_replay(
     """
     target = canon_edge(*target)
     initial = trace.initial
-    emb_of: dict[Edge, Embedding] = {
-        e: emb for rnd in trace.rounds for e, emb in rnd.added
-    }
     if target not in witnesses:
         raise ReplayError(f"{target} not in the closure")
     if initial.has_edge(*target):
         return REATrace(target=target, steps=[], red_edges=[],
                         witness_edges=witnesses[target].edges)
+    index = _certificates(trace, h)
+    certs = index.certs
 
     # dependency-respecting sequential schedule, children in lex order
     schedule: list[Edge] = []
@@ -167,48 +235,43 @@ def rea_replay(
             schedule.append(edge)
             continue
         stack.append((edge, True))
-        support = sorted(emb_of[edge].support_edges(h))
-        for f in reversed(support):
-            if f not in scheduled and not initial.has_edge(*f):
-                if f not in emb_of:
+        for f in reversed(certs[edge].pending):
+            if f not in scheduled:
+                if f not in certs:
                     raise ReplayError(f"support edge {f} has no certificate")
                 stack.append((f, False))
 
     steps: list[REAStep] = []
-    comps: dict[int, _Component] = {}
+    comps: dict[int, _Component] = {}   # live components in creation order
     next_cid = 0
-    edge2comp: dict[Edge, int] = {}
-    placed_edges: set[Edge] = set()
-    union_vertices: set[int] = set()
+    placed = 0                          # bitmask of placed edge ids
+    red_mask = 0
     red_edges: list[Edge] = []
 
     for j, red in enumerate(schedule, start=1):
-        emb = emb_of[red]
-        copy_edges = [canon_edge(*e) for e in emb.copy_edges(h)]
-        copy_vertices = set(emb.mapping)
-        if red in placed_edges:
+        cert = certs[red]
+        copy_vertices = cert.vertices
+        if placed & cert.bit:
             raise ReplayError(f"red edge {red} already present at step {j}")
-        for f in copy_edges:
-            if f != red and f not in placed_edges and not initial.has_edge(*f):
-                raise ReplayError(f"step {j}: support edge {f} unavailable")
+        missing = cert.open & ~cert.bit & ~placed
+        if missing:
+            f = next(f for f in cert.copy if missing >> index.id_of[f] & 1)
+            raise ReplayError(f"step {j}: support edge {f} unavailable")
 
-        touched = sorted(
-            {edge2comp[f] for f in copy_edges if f in edge2comp}
-        )
+        touched = [c for c in comps.values() if c.edges & cert.edges]
         merged_stats: list[tuple[int, int, int]] = []
-        seen_vertices: set[int] = set()
-        for cid in touched:
-            comp = comps[cid]
-            eps = len(comp.vertices & copy_vertices)
-            delta = len(comp.vertices & (seen_vertices - copy_vertices))
+        seen_vertices = 0
+        for comp in touched:
+            eps = (comp.vertices & copy_vertices).bit_count()
+            delta = (comp.vertices & seen_vertices & ~copy_vertices).bit_count()
             if eps < 2:
                 raise ReplayError(
-                    f"step {j}: component {cid} shares an edge but eps={eps}"
+                    f"step {j}: component {comp.cid} shares an edge but eps={eps}"
                 )
-            merged_stats.append((cid, eps, delta))
+            merged_stats.append((comp.cid, eps, delta))
             seen_vertices |= comp.vertices
 
-        if len(touched) == 1 and set(copy_edges) - {red} <= comps[touched[0]].edges:
+        if len(touched) == 1 and not cert.edges & ~cert.bit & ~touched[0].edges:
             case = "case1"
             tree = False
         else:
@@ -219,44 +282,39 @@ def rea_replay(
 
         # merge into the lowest-creation-id component (or a fresh one)
         if touched:
-            root = comps[touched[0]]
-            for cid in touched[1:]:
-                other = comps.pop(cid)
+            root = touched[0]
+            for other in touched[1:]:
+                del comps[other.cid]
                 root.vertices |= other.vertices
                 root.edges |= other.edges
                 root.red |= other.red
-                for f in other.edges:
-                    edge2comp[f] = root.cid
         else:
-            root = _Component(next_cid)
+            root = comps[next_cid] = _Component(next_cid)
             next_cid += 1
-            comps[root.cid] = root
         root.vertices |= copy_vertices
-        for f in copy_edges:
-            root.edges.add(f)
-            edge2comp[f] = root.cid
-        root.red.add(red)
+        root.edges |= cert.edges
+        root.red |= cert.bit
 
-        placed_edges.update(copy_edges)
-        union_vertices |= copy_vertices
+        placed |= cert.edges
+        red_mask |= cert.bit
         red_edges.append(red)
         steps.append(
             REAStep(
                 j=j,
-                copy=emb,
+                copy=cert.emb,
                 red_edge=red,
                 merged_components=merged_stats,
                 case=case,
                 tree_step=tree,
-                component_vertices=len(root.vertices),
-                component_nonred=len(root.edges) - len(root.red),
+                component_vertices=root.vertices.bit_count(),
+                component_nonred=root.edges.bit_count() - root.red.bit_count(),
             )
         )
 
     if len(comps) != 1:
         raise ReplayError(f"final hypergraph disconnected: {len(comps)} components")
-    rebuilt = placed_edges - set(red_edges)
-    if rebuilt != set(witnesses[target].edges):
+    rebuilt = {index.edge_of[i] for i in bits(placed & ~red_mask)}
+    if rebuilt != witnesses[target].edges:
         raise ReplayError("replay does not reproduce the stored witness")
     return REATrace(
         target=target,
@@ -272,10 +330,11 @@ def rea_replay(
 def check_witness_closures(
     witnesses: dict[Edge, WitnessRecord], h: Graph, trace: ClosureTrace
 ) -> Report:
-    """Every target must be re-added when its witness alone is closed."""
-    from .closure import closure_contains_edge
-    from .graphs import induced_subgraph
+    """Every target must be re-added when its witness alone is closed.
 
+    The check closes each witness from scratch and never reads ``trace``,
+    which stays in the signature for existing callers.
+    """
     rep = Report(name="witness-closure")
     for target, rec in witnesses.items():
         rep.checked += 1
@@ -283,9 +342,11 @@ def check_witness_closures(
             continue
         spanned = sorted({v for e in rec.edges for v in e})
         pos = {v: i for i, v in enumerate(spanned)}
-        sub = Graph(len(spanned))
+        rows = [0] * len(spanned)
         for a, b in rec.edges:
-            sub.add_edge(pos[a], pos[b])
+            rows[pos[a]] |= 1 << pos[b]
+            rows[pos[b]] |= 1 << pos[a]
+        sub = Graph.from_rows(len(spanned), rows)
         t = (pos[target[0]], pos[target[1]])
         if not closure_contains_edge(sub, h, t):
             rep.violations.append(f"target {target}: not in closure of witness")
@@ -345,10 +406,13 @@ def check_edge_lower_bound(
 def check_component_bound(rea: REATrace, stats: PatternStats) -> Report:
     rep = Report(name="component-bound")
     assert stats.lambda_star is not None
+    # nonred < lambda_** (v_C - v_H) + e_H - 1, times the denominator q > 0
+    p, q = stats.lambda_star.numerator, stats.lambda_star.denominator
+    v_h, offset = stats.v_h, (stats.e_h - 1) * q
     for step in rea.steps:
         rep.checked += 1
-        bound = stats.lambda_star * (step.component_vertices - stats.v_h) + stats.e_h - 1
-        if step.component_nonred < bound:
+        if step.component_nonred * q < p * (step.component_vertices - v_h) + offset:
+            bound = stats.lambda_star * (step.component_vertices - v_h) + stats.e_h - 1
             rep.violations.append(
                 f"target {rea.target} step {step.j}: component has "
                 f"{step.component_nonred} non-red edges < {bound}"

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsatlab import closure
 from wsatlab.closure import (
     _clique_close_seq,
     _k4_closure_cliques,
@@ -118,6 +120,40 @@ def test_closure_contains_edge_early_exit():
     assert closure_contains_edge(g, h, (0, 1))
     g2 = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not closure_contains_edge(g2, h, (0, 3))
+
+
+def test_closure_contains_edge_k4_matches_oracle_all_graphs_n5():
+    h = make_clique(4)
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            final = naive_close(g, h)
+            for pair in itertools.combinations(range(n), 2):
+                assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
+
+
+def test_closure_contains_edge_matches_round_engine_random(monkeypatch):
+    """K_4 and K_5 on 200 random G(n, p), 7 <= n <= 12, every pair; the K_5
+    calls reach both the infection certificate and, where it fails, the
+    work queue stopped at the target."""
+    reached = {True: 0, False: 0}
+    spans = closure._infection_spans
+
+    def counted_spans(*args):
+        found = spans(*args)
+        reached[found] += 1
+        return found
+
+    monkeypatch.setattr(closure, "_infection_spans", counted_spans)
+    rng = random.Random(2024)
+    for t in range(200):
+        n = rng.randint(7, 12)
+        r = 4 + t % 2
+        h = make_clique(r)
+        g = sample_gnp(n, rng.uniform(0.25, 0.55) + 0.15 * (r - 4), 6000 + t)
+        final = close(g, h).final
+        for pair in itertools.combinations(range(n), 2):
+            assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
+    assert reached[True] > 0 and reached[False] > 0
 
 
 def test_bipartite_pattern_against_oracle():

@@ -1,13 +1,20 @@
+import dataclasses
+import hashlib
+import math
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from wsatlab.closure import close
+from wsatlab.closure import RoundRecord, close
 from wsatlab.graphs import Graph, make_clique
 from wsatlab.ladders import LadderSpec, build_ladder
 from wsatlab.patterns import analyze
-from wsatlab.experiments import sample_gnp
+from wsatlab.experiments import mix_seed, sample_gnp, theory_markers
 from wsatlab.witness import (
+    REAStep,
+    REATrace,
+    ReplayError,
     check_aizenman_lebowitz,
     check_case2_bound,
     check_component_bound,
@@ -16,6 +23,7 @@ from wsatlab.witness import (
     close_with_witnesses,
     rea_replay,
 )
+from wsatlab.witness import _certificates
 
 
 def path4():
@@ -136,3 +144,148 @@ def test_aizenman_lebowitz_on_closing_run():
     assert rep.ok, rep.violations
     sizes = rep.details["sizes"]
     assert max(sizes) == 6 - 2  # the longest witness spans the path
+
+
+# -- replay pinned at the reference, and tampered inputs -----------------------
+
+
+def criterion4_graph(r: int, t: int = 0):
+    """Graph t of acceptance criterion 4's G(30, n^(-1/lambda)) stream for K_r."""
+    h = make_clique(r)
+    p = theory_markers(30, analyze(h))["upper_order"]
+    return sample_gnp(30, p, mix_seed(777 + r, t)), h
+
+
+def step_digest(trace, recs, h) -> tuple[int, int, str]:
+    """(added edges, REA steps, sha256 over every REAStep field of every
+    added edge's replay)."""
+    digest = hashlib.sha256()
+    steps = 0
+    for target in trace.added_edges():
+        for s in rea_replay(target, recs, trace, h).steps:
+            steps += 1
+            digest.update(repr((target, s.j, s.copy, s.red_edge, s.merged_components,
+                                s.case, s.tree_step, s.component_vertices,
+                                s.component_nonred)).encode())
+    return len(trace.added_edges()), steps, digest.hexdigest()
+
+
+@pytest.mark.parametrize("r,expected", [
+    (4, (326, 3022, "2d77137d9d8b425258d18bb2b2d9f74552fbbd3b3979934fbc7ab83c5a106e0a")),
+    (5, (319, 6372, "096195e460e41231ba6b391176d6952970ff6ddd3948b18b1cc4a8c09c75664b")),
+])
+def test_rea_steps_pinned_on_criterion4_graphs(r, expected):
+    # the digests were taken with the set-based replay that rebuilt its
+    # certificate map on every call
+    g, h = criterion4_graph(r)
+    trace, recs = close_with_witnesses(g, h)
+    assert step_digest(trace, recs, h) == expected
+    # replay again on the memoized index, and on a fresh trace
+    assert step_digest(trace, recs, h) == expected
+    assert step_digest(*close_with_witnesses(g, h), h) == expected
+
+
+def deep_target(trace, recs, h):
+    """The added edge with the largest witness (ties: the largest edge)."""
+    return max(trace.added_edges(), key=lambda e: (recs[e].k, e))
+
+
+def without_certificate(trace, edge):
+    rounds = [RoundRecord(t=rnd.t, added=[(e, emb) for e, emb in rnd.added if e != edge])
+              for rnd in trace.rounds]
+    return dataclasses.replace(trace, rounds=rounds)
+
+
+def test_replay_rejects_dropped_certificate():
+    g, h = criterion4_graph(4)
+    trace, recs = close_with_witnesses(g, h)
+    target = deep_target(trace, recs, h)
+    child = rea_replay(target, recs, trace, h).steps[0].red_edge
+    assert child != target
+    with pytest.raises(ReplayError, match=f"support edge {re.escape(str(child))} has no certificate"):
+        rea_replay(target, recs, without_certificate(trace, child), h)
+    # dropped in place, after the index of the trace was built
+    for rnd in trace.rounds:
+        rnd.added[:] = [(e, emb) for e, emb in rnd.added if e != child]
+    with pytest.raises(ReplayError, match="has no certificate"):
+        rea_replay(target, recs, trace, h)
+
+
+def test_replay_rejects_swapped_certificate():
+    # edge a certified by b's copy: the copy's anchor image b is neither
+    # initial nor placed, and a is not in the copy
+    g, h = criterion4_graph(4)
+    trace, recs = close_with_witnesses(g, h)
+    (a, emb_a), (b, emb_b) = trace.rounds[0].added[:2]
+    rounds = [RoundRecord(t=1, added=[(a, emb_b), (b, emb_a)] + trace.rounds[0].added[2:]),
+              *trace.rounds[1:]]
+    swapped = dataclasses.replace(trace, rounds=rounds)
+    with pytest.raises(ReplayError, match=re.escape(f"step 1: support edge {b} unavailable")):
+        rea_replay(a, recs, swapped, h)
+
+
+def test_certificate_index_is_keyed_by_pattern():
+    g, h = criterion4_graph(4)
+    trace, _ = close_with_witnesses(g, h)
+    index = _certificates(trace, h)
+    assert _certificates(trace, make_clique(4)) is index
+    # K_4 minus an edge has the same vertex count but five copy edges
+    other = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert _certificates(trace, other) is not index
+    assert {len(c.copy) for c in trace.certificate_index.certs.values()} == {5}
+    assert {len(c.copy) for c in _certificates(trace, h).certs.values()} == {6}
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_witness_missing_an_edge_fails_closure_check(r):
+    g, h = criterion4_graph(r)
+    trace, recs = close_with_witnesses(g, h)
+    assert check_witness_closures(recs, h, trace).ok
+    # a first-round witness is K_r minus the target: any edge removed
+    # leaves no copy of K_r minus an edge
+    first = trace.rounds[0].added[0][0]
+    assert recs[first].k == r and recs[first].edge_count == r * (r - 1) // 2 - 1
+    # in a deep witness, a target endpoint of degree r - 2 that loses an
+    # edge can never gain one
+    deep = deep_target(trace, recs, h)
+    end = min(deep, key=lambda x: sum(x in f for f in recs[deep].edges))
+    assert sum(end in f for f in recs[deep].edges) == r - 2
+    for target, dropped in ((first, min(recs[first].edges)),
+                            (deep, min(f for f in recs[deep].edges if end in f))):
+        bad = dict(recs)
+        bad[target] = dataclasses.replace(recs[target], edges=recs[target].edges - {dropped})
+        rep = check_witness_closures(bad, h, trace)
+        assert rep.violations == [f"target {target}: not in closure of witness"]
+
+
+@pytest.mark.parametrize("r,field,value,expected", [
+    (4, "component_nonred", 0,
+     "target (4, 11) step 41: component has 0 non-red edges < 43"),
+    (4, "component_vertices", 32,
+     "target (4, 11) step 41: component has 56 non-red edges < 61"),
+    (5, "component_nonred", 0,
+     "target (15, 17) step 61: component has 0 non-red edges < 187/3"),
+    (5, "component_vertices", 34,
+     "target (15, 17) step 61: component has 83 non-red edges < 259/3"),
+])
+def test_component_bound_violation_message(r, field, value, expected):
+    # message texts as the Fraction-based check printed them
+    g, h = criterion4_graph(r)
+    stats = analyze(h)
+    trace, recs = close_with_witnesses(g, h)
+    rea = rea_replay(deep_target(trace, recs, h), recs, trace, h)
+    last = rea.steps[-1]
+    bad = dataclasses.replace(rea, steps=rea.steps[:-1] + [dataclasses.replace(last, **{field: value})])
+    assert check_component_bound(bad, stats).violations == [expected]
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_component_bound_is_strict_at_the_bound(r):
+    stats = analyze(make_clique(r))
+    step = REAStep(j=1, copy=None, red_edge=(0, 1), merged_components=[], case="case2",
+                   tree_step=True, component_vertices=23, component_nonred=0)
+    bound = stats.lambda_star * (23 - stats.v_h) + stats.e_h - 1
+    for nonred, ok in ((math.ceil(bound), True), (math.ceil(bound) - 1, False)):
+        rea = REATrace(target=(0, 1), steps=[dataclasses.replace(step, component_nonred=nonred)],
+                       red_edges=[], witness_edges=frozenset())
+        assert check_component_bound(rea, stats).ok == ok
