@@ -3,6 +3,7 @@
 from .graphs import (
     Graph,
     canon_edge,
+    enumerate_labeled_graphs,
     induced_subgraph,
     is_connected,
     make_clique,
@@ -55,6 +56,6 @@ from .experiments import (
     sample_gnp,
     theory_markers,
 )
-from .oracle import CensusResult, enumerate_labeled_graphs, naive_close, percolation_census
+from .oracle import CensusResult, naive_close, percolation_census
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line entry point wiring all modules.
 
-Exit codes: 0 success, 1 verification violation, 2 usage error.  JSON goes
-to stdout (CSV for curve data); diagnostics to stderr.  Every JSON output
-carries a manifest sufficient to reproduce the run bit-for-bit; pass
---no-timing to omit the wall-clock field when comparing outputs.
+Exit codes: 0 success, 1 verification violation (a failed red-edge replay
+included), 2 usage error.  JSON goes to stdout (CSV for curve data);
+diagnostics to stderr.  Every JSON output carries a manifest sufficient to
+reproduce the run bit-for-bit; pass --no-timing to omit the wall-clock
+field when comparing outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .closure import close, percolates
+from .closure import close
 from .experiments import (
     TrialConfig,
     bisect_pc,
@@ -43,7 +44,7 @@ from .ladders import (
 )
 from .oracle import percolation_census
 from .patterns import analyze, verify_appendix_lemmas
-from .witness import close_with_witnesses, rea_replay
+from .witness import ReplayError, close_with_witnesses, rea_replay
 
 
 class UsageError(Exception):
@@ -436,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReplayError as exc:
+        print(f"error: red-edge replay failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

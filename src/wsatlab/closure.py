@@ -2,15 +2,27 @@
 
 ``close`` is faithful to the simultaneous-round semantics: every edge added
 in round t is certified by an embedding checked against G_{t-1} alone.
-Clique patterns have exact shortcuts that never run the round engine.
-``percolates`` decides K_3 by connectivity, K_4 by the clique process
+
+Two exact rules hold for every pattern H, with minimum degree delta_H.  The
+degree rule: a vertex of degree below delta_H - 1 never gains an edge, since
+a completing copy needs delta_H - 1 present edges at it.  The infection
+certificate (``_infection_spans``): a clique S with |S| >= v_H - 1 absorbs
+every vertex with delta_H - 1 neighbours in it, so an infection that spans
+proves a complete closure.
+
+``percolates`` applies the degree rule to every pattern.  Past it, K_3 is
+decided by connectivity, K_4 by the clique process
 (``_k4_closure_cliques``) and K_r, r >= 5, by the sequential work queue
-(``_clique_close_seq``).  ``closure_contains_edge`` answers K_4 by the
-clique process too, and other cliques by the infection certificate
-(``_infection_spans``) or else the work queue stopped at the target.
-Their agreement with the round engine (confluence of the monotone
-automaton) and with ``oracle.naive_close`` is enforced by differential
-tests, never assumed silently.
+(``_clique_close_seq``).  Other patterns run the rounds of ``close``
+(``_rounds``) without keeping them, and stop early on a complete graph or a
+spanning infection.  ``closure_contains_edge`` answers K_4 by the clique
+process too, other cliques by the infection certificate or else the work
+queue stopped at the target, and other patterns by the degree rule at the
+target's endpoints and then the same rounds, stopped once the target is
+present or the infection spans.  ``wsat percolate`` still runs ``close``,
+because it prints the round count.  Agreement with the round engine
+(confluence of the monotone automaton) and with ``oracle.naive_close`` is
+enforced by differential tests, never assumed silently.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterator
 
 from .graphs import Graph, bits, canon_edge, is_connected
 
@@ -71,6 +84,7 @@ class _PatternInfo:
         self.n = h.n
         self.edges = list(h.edges())
         self.is_clique = h.is_complete() and h.n >= 2
+        self.delta = h.min_degree()
         self.connected = is_connected(h)
         reps = _edge_orbit_reps(h)
         # One plan per (orbit rep, orientation).
@@ -244,12 +258,17 @@ def _find_clique_mask(rows: list[int], n: int, k: int) -> int | None:
     return rec(0, (1 << n) - 1, k)
 
 
-def _infection_spans(rows: list[int], n: int, r: int, seed_mask: int) -> bool:
-    """Sufficient completeness test for the K_r closure.
+def _infection_spans(rows: list[int], n: int, need: int, seed_mask: int) -> bool:
+    """Sufficient completeness test for the H closure, need = delta_H - 1.
 
-    Grow an infected set from an (r-1)-clique by absorbing any vertex with
-    at least r-2 infected neighbours.  By induction the infected set is a
-    clique in the closure, so a spanning infection certifies percolation.
+    Grow an infected set from a clique of at least v_H - 1 vertices by
+    absorbing any vertex z with at least ``need`` infected neighbours.  For
+    each infected non-neighbour c of z, a copy of H maps a minimum-degree
+    vertex x to z, one neighbour of x to c, x's other neighbours to
+    neighbours of z and the rest into the clique, so zc is added.  By
+    induction the infected set is a clique in the closure, and a spanning
+    infection certifies percolation.  Needs delta_H >= 1 (x has a
+    neighbour); for K_r, need = r - 2.
     """
     s = seed_mask
     full = (1 << n) - 1
@@ -257,7 +276,7 @@ def _infection_spans(rows: list[int], n: int, r: int, seed_mask: int) -> bool:
     while frontier:
         x = frontier.pop()
         for v in bits(rows[x] & ~s):
-            if (rows[v] & s).bit_count() >= r - 2:
+            if (rows[v] & s).bit_count() >= need:
                 s |= 1 << v
                 frontier.append(v)
         if s == full:
@@ -285,7 +304,7 @@ def _clique_close_seq(
     rows = work.rows
     n = work.n
     seed = _find_clique_mask(rows, n, r - 1) if early_complete else None
-    if seed is not None and _infection_spans(rows, n, r, seed):
+    if seed is not None and _infection_spans(rows, n, r - 2, seed):
         return work, True
     pending = deque(work.non_edges())
     inq = set(pending)
@@ -307,7 +326,7 @@ def _clique_close_seq(
             check_in -= 1
             if check_in == 0 and seed is not None:
                 check_in = 64
-                if _infection_spans(rows, n, r, seed):
+                if _infection_spans(rows, n, r - 2, seed):
                     return work, True
         # inlined _clique_affected_pairs: non-edge pairs whose completion
         # could use the fresh edge (u,v), as pure mask arithmetic
@@ -413,11 +432,25 @@ def close(g: Graph, h: Graph) -> ClosureTrace:
     Every edge of round t is certified (by an Embedding) against G_{t-1};
     the run terminates when a round adds nothing.
     """
+    work = g.copy()
+    rounds = [
+        RoundRecord(t=t, added=added)
+        for t, added in enumerate(_rounds(work, h, pattern_info(h)), 1)
+    ]
+    return ClosureTrace(initial=g.copy(), rounds=rounds, final=work)
+
+
+def _rounds(
+    work: Graph, h: Graph, info: _PatternInfo
+) -> Iterator[list[tuple[tuple[int, int], Embedding]]]:
+    """The rounds of ``close``, run in place on ``work``.
+
+    Each round tests its candidate pairs against the graph of the round
+    before, then commits them all; the generator yields the certified edges
+    of each committed round, with ``work`` already holding them.
+    """
     if h.n < 2:
         raise ValueError("pattern needs at least 2 vertices")
-    info = pattern_info(h)
-    work = g.copy()
-    rounds: list[RoundRecord] = []
     candidates = sorted(work.non_edges())
     while candidates:
         added: list[tuple[tuple[int, int], Embedding]] = []
@@ -426,12 +459,11 @@ def close(g: Graph, h: Graph) -> ClosureTrace:
             if emb is not None:
                 added.append((pair, emb))
         if not added:
-            break
+            return
         for pair, _ in added:
             work.add_edge(*pair)
-        rounds.append(RoundRecord(t=len(rounds) + 1, added=added))
+        yield added
         candidates = _next_candidates(work, info, [p for p, _ in added])
-    return ClosureTrace(initial=g.copy(), rounds=rounds, final=work)
 
 
 def _next_candidates(
@@ -464,36 +496,62 @@ def _next_candidates(
     ]
 
 
+def _rounds_reach(
+    g: Graph, h: Graph, info: _PatternInfo, done: Callable[[Graph], bool]
+) -> bool:
+    """Does the closure of g satisfy ``done``, a property that edges never
+    destroy and that the complete graph has?
+
+    Runs the rounds of ``close`` on a copy of g and checks ``done`` after
+    each.  Once the graph holds a (v_H - 1)-clique, the first one found
+    seeds the infection certificate after every round; a spanning infection
+    proves the closure complete.
+    """
+    work = g.copy()
+    seed = None
+    for _ in _rounds(work, h, info):
+        if done(work):
+            return True
+        if info.delta >= 1:
+            if seed is None:
+                seed = _find_clique_mask(work.rows, work.n, info.n - 1)
+            if seed is not None and _infection_spans(
+                work.rows, work.n, info.delta - 1, seed
+            ):
+                return True
+    return done(work)
+
+
 def percolates(g: Graph, h: Graph) -> bool:
     """True iff the closure of g under h-bootstrap is complete.
 
-    Clique patterns take exact shortcuts.  K_2 always percolates.  The K_3
-    closure turns each component into a clique, so K_3 percolation is
-    connectivity.  For K_r, r >= 4, a vertex of degree below r - 2 that
-    misses an edge refutes percolation.  Past that rule the clique process
-    (``_k4_closure_cliques``) decides K_4 and the sequential work queue
-    (``_clique_close_seq``, with its infection certificate) decides r >= 5.
-    Other patterns run the round engine.
+    Every pattern first takes the degree rule: a vertex of degree below
+    delta_H - 1 that misses an edge can never gain one (a completing copy
+    would need delta_H - 1 present edges at it), which refutes percolation.
+    Past it, clique patterns take exact shortcuts.  K_2 always percolates.
+    The K_3 closure turns each component into a clique, so K_3 percolation
+    is connectivity.  The clique process (``_k4_closure_cliques``) decides
+    K_4 and the sequential work queue (``_clique_close_seq``, with its
+    infection certificate) decides K_r, r >= 5.  Other patterns run the
+    rounds of ``close`` without keeping them, and stop once the graph is
+    complete or the infection certificate spans.
     """
     info = pattern_info(h)
+    for u in range(g.n):
+        d = g.degree(u)
+        if d < info.delta - 1 and d < g.n - 1:
+            return False
     if info.is_clique:
         r = info.n
         if r == 2:
             return True  # every pair completes a K_2 immediately
         if r == 3:
             return is_connected(g)
-        # a vertex of degree < r-2 can never gain an edge (a completing copy
-        # would need r-2 present edges at it), so one with a missing edge
-        # certifies non-percolation
-        for u in range(g.n):
-            d = g.degree(u)
-            if d < r - 2 and d < g.n - 1:
-                return False
         if r == 4:
             return g.n == 1 or _k4_closure_cliques(g) == [(1 << g.n) - 1]
         final, certified = _clique_close_seq(g, r, early_complete=True)
         return certified or final.is_complete()
-    return close(g, h).final.is_complete()
+    return _rounds_reach(g, h, info, Graph.is_complete)
 
 
 def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
@@ -503,7 +561,10 @@ def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     endpoints.  Other cliques (r = 3 or r >= 5) run the work queue with
     both exits: the infection certificate, tried before the queue starts,
     proves a complete closure, and the queue stops once it adds
-    ``target``.  Other patterns run the round engine.
+    ``target``.  Other patterns refute the target when an endpoint has
+    degree below delta_H - 1 (the degree rule of ``percolates``), and
+    otherwise run the rounds of ``close`` until the target is present or
+    the infection certificate spans.
     """
     target = canon_edge(*target)
     if g.has_edge(*target):
@@ -515,5 +576,6 @@ def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     if info.is_clique and info.n >= 3:
         _, hit = _clique_close_seq(g, info.n, stop=target, early_complete=True)
         return hit
-    trace = close(g, h)
-    return trace.final.has_edge(*target)
+    if min(g.degree(target[0]), g.degree(target[1])) < info.delta - 1:
+        return False
+    return _rounds_reach(g, h, info, lambda work: work.has_edge(*target))

@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,7 +294,6 @@ class TrialConfig:
     beta: float | None = None
     height: int | None = None
     workers: int | None = None
-    notes: dict = field(default_factory=dict)
 
 
 def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[float, int, dict]:

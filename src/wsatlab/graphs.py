@@ -8,6 +8,7 @@ closure engine, which mutates only its private working copy.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 
@@ -59,6 +60,16 @@ class Graph:
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
         self._m += 1
+
+    def without_edge(self, u: int, v: int) -> "Graph":
+        """A copy of the graph with the edge uv removed."""
+        if not self.has_edge(u, v):
+            raise ValueError(f"({u},{v}) is not an edge")
+        g = self.copy()
+        g.rows[u] &= ~(1 << v)
+        g.rows[v] &= ~(1 << u)
+        g._m -= 1
+        return g
 
     # -- queries ---------------------------------------------------------
 
@@ -157,6 +168,21 @@ def make_double_barbell(r: int) -> Graph:
     g.add_edge(0, r)
     g.add_edge(1, r + 1)
     return g
+
+
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if len(pairs) > 24:
+        raise ValueError("too many labeled graphs to enumerate")
+    for mask in range(1 << len(pairs)):
+        g = Graph(n)
+        m = mask
+        while m:
+            b = m & -m
+            g.add_edge(*pairs[b.bit_length() - 1])
+            m ^= b
+        yield g
 
 
 # -- subgraphs and connectivity -------------------------------------------

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, enumerate_labeled_graphs
 
 
 def _completes_somewhere(g: Graph, pair: tuple[int, int], h: Graph) -> bool:
@@ -53,21 +52,6 @@ def naive_close(g: Graph, h: Graph) -> Graph:
             return work
         for pair in to_add:
             work.add_edge(*pair)
-
-
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order."""
-    pairs = list(itertools.combinations(range(n), 2))
-    if len(pairs) > 24:
-        raise ValueError("too many labeled graphs to enumerate")
-    for mask in range(1 << len(pairs)):
-        g = Graph(n)
-        m = mask
-        while m:
-            b = m & -m
-            g.add_edge(*pairs[b.bit_length() - 1])
-            m ^= b
-        yield g
 
 
 @dataclass

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Graph, bits, induced_subgraph, is_connected
+from .graphs import Graph, bits, enumerate_labeled_graphs, is_connected
 
 MAX_PROFILE_VERTICES = 12
 
@@ -74,10 +74,7 @@ def compute_lambda_prime(h: Graph) -> Fraction:
         raise ValueError("pattern has no edges")
     best: Fraction | None = None
     for u, v in h.edges():
-        he = h.copy()
-        he.rows[u] &= ~(1 << v)
-        he.rows[v] &= ~(1 << u)
-        he._m -= 1
+        he = h.without_edge(u, v)
         profile = densest_subgraph_profile(he)
         dens = max(
             (Fraction(profile[k], k) for k in range(2, he.n + 1)),
@@ -173,27 +170,12 @@ def verify_appendix_lemmas(v_max: int) -> AppendixReport:
     checked = 0
     violations: list[str] = []
     for n in range(4, v_max + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(n)
-            m = mask
-            while m:
-                b = m & -m
-                g.add_edge(*pairs[b.bit_length() - 1])
-                m ^= b
+        for mask, g in enumerate(enumerate_labeled_graphs(n)):
             if g.min_degree() < 2:
                 continue
             checked += 1
             stats = analyze(g)
-            all_2bal = True
-            for u, v in g.edges():
-                ge = g.copy()
-                ge.rows[u] &= ~(1 << v)
-                ge.rows[v] &= ~(1 << u)
-                ge._m -= 1
-                if not is_2_balanced(ge):
-                    all_2bal = False
-                    break
+            all_2bal = all(is_2_balanced(g.without_edge(u, v)) for u, v in g.edges())
             if stats.balanced != all_2bal:
                 violations.append(
                     f"n={n} mask={mask}: balanced={stats.balanced} "

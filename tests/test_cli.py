@@ -83,6 +83,20 @@ def test_witness_missing_target_fails(capsys, path4_file):
     assert "not in the closure" in err
 
 
+def test_witness_replay_failure_exits_1(capsys, path4_file, monkeypatch):
+    from wsatlab import cli
+    from wsatlab.witness import ReplayError
+
+    def failing_replay(*args):
+        raise ReplayError("support edge (0, 2) has no certificate")
+
+    monkeypatch.setattr(cli, "rea_replay", failing_replay)
+    code, out, err = run(capsys, "witness", "--input", path4_file,
+                         "--pattern", "K3", "--target", "0 3", "--rea")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "no certificate" in err
+
+
 def test_ladder_build_and_verify(capsys):
     code, out, _ = run(capsys, "ladder", "build", "--pattern", "K5",
                        "--height", "3", "--no-timing")

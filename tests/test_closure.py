@@ -13,8 +13,15 @@ from wsatlab.closure import (
     find_completion,
     percolates,
 )
-from wsatlab.graphs import Graph, bits, make_clique, make_complete_bipartite
-from wsatlab.oracle import enumerate_labeled_graphs, naive_close
+from wsatlab.graphs import (
+    Graph,
+    bits,
+    enumerate_labeled_graphs,
+    make_clique,
+    make_complete_bipartite,
+    make_double_barbell,
+)
+from wsatlab.oracle import naive_close
 from wsatlab.experiments import sample_gnp
 from wsatlab.patterns import relabel
 
@@ -96,12 +103,107 @@ def test_percolates_k2_always():
     assert percolates(Graph(5), make_clique(2))
 
 
+# small non-clique patterns, each checked on every graph with n <= 5
+SMALL_PATTERNS = {
+    "C4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "diamond": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "paw": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "K1,3": make_complete_bipartite(1, 3),
+    "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
+    "P3+K1": Graph.from_edges(4, [(0, 1), (1, 2)]),
+    "K2,3": make_complete_bipartite(2, 3),
+}
+
+
 def test_percolates_noncomplete_pattern():
-    # C_4 pattern: path 0-1-2-3 plus chord behaviour checked via oracle
-    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for h in SMALL_PATTERNS.values():
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                assert percolates(g, h) == naive_close(g, h).is_complete()
+    c4 = SMALL_PATTERNS["C4"]
     for seed in range(20):
         g = sample_gnp(7, 0.4, 700 + seed)
         assert percolates(g, c4) == naive_close(g, c4).is_complete()
+
+
+class ExitCounter:
+    """Counts calls of ``closure._rounds`` (a non-clique ``percolates`` or
+    ``closure_contains_edge`` call that makes none was settled by the
+    degree rule) and infection certificates that span or fail."""
+
+    def __init__(self, monkeypatch):
+        self.rounds = 0
+        self.infection = {True: 0, False: 0}
+        rounds, spans = closure._rounds, closure._infection_spans
+
+        def counted_rounds(*args):
+            self.rounds += 1
+            return rounds(*args)
+
+        def counted_spans(*args):
+            found = spans(*args)
+            self.infection[found] += 1
+            return found
+
+        monkeypatch.setattr(closure, "_rounds", counted_rounds)
+        monkeypatch.setattr(closure, "_infection_spans", counted_spans)
+
+
+def test_percolates_dense_patterns_match_round_engine(monkeypatch):
+    """K_{3,3} and DD_4 on seeded G(n, p), 8 <= n <= 16, against the round
+    engine; the degree rule fires, and the infection certificate both spans
+    and fails."""
+    counter = ExitCounter(monkeypatch)
+    rng = random.Random(77)
+    rejected = 0
+    for t in range(200):
+        h = make_complete_bipartite(3, 3) if t % 2 else make_double_barbell(4)
+        n = rng.randint(8, 16)
+        g = sample_gnp(n, rng.uniform(0.2, 0.5), 8800 + t)
+        expected = close(g, h).final.is_complete()
+        rounds_before = counter.rounds
+        assert percolates(g, h) == expected
+        rejected += counter.rounds == rounds_before
+    assert rejected > 0  # percolates returned before any round: the degree rule
+    assert counter.infection[True] > 0 and counter.infection[False] > 0
+
+
+def test_infection_needs_a_pattern_without_isolated_vertices():
+    # H = K_4 + K_1 has minimum degree 0.  Round 1 closes K_4 minus an edge
+    # on 0..3, but pendant vertex 4 needs two present edges to gain one, so
+    # the closure is not complete although 4 has a neighbour in the K_4.
+    h = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 4)])
+    assert len(close(g, h).rounds) == 1
+    assert not naive_close(g, h).is_complete()
+    assert not percolates(g, h)
+    assert not closure_contains_edge(g, h, (1, 4))
+
+
+PROPERTY_PATTERNS = {**SMALL_PATTERNS, "K3,3": make_complete_bipartite(3, 3)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(PROPERTY_PATTERNS)),
+    st.integers(1, 9),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32),
+    st.randoms(),
+)
+def test_percolates_noncomplete_relabelling_and_monotone(name, n, p, seed, rnd):
+    h = PROPERTY_PATTERNS[name]
+    g = sample_gnp(n, p, seed)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    verdict = percolates(g, h)
+    assert verdict == close(g, h).final.is_complete()
+    assert percolates(relabel(g, perm), h) == verdict
+    if verdict:
+        for pair in g.non_edges():
+            more = g.copy()
+            more.add_edge(*pair)
+            assert percolates(more, h)
 
 
 def test_disconnected_pattern_full_rescan():
@@ -154,6 +256,26 @@ def test_closure_contains_edge_matches_round_engine_random(monkeypatch):
         for pair in itertools.combinations(range(n), 2):
             assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
     assert reached[True] > 0 and reached[False] > 0
+
+
+def test_closure_contains_edge_noncomplete_matches_round_engine(monkeypatch):
+    """C_4 and K_{2,3} on random G(n, p), every pair, against the round
+    engine; the degree rule at the endpoints refutes some targets, and the
+    infection certificate both spans and fails."""
+    counter = ExitCounter(monkeypatch)
+    rng = random.Random(31)
+    refuted = 0
+    for t in range(120):
+        h = make_complete_bipartite(2, 3) if t % 2 else make_complete_bipartite(2, 2)
+        n = rng.randint(5, 11)
+        g = sample_gnp(n, rng.uniform(0.1, 0.5), 5100 + t)
+        final = close(g, h).final
+        for pair in itertools.combinations(range(n), 2):
+            rounds_before = counter.rounds
+            assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
+            refuted += not g.has_edge(*pair) and counter.rounds == rounds_before
+    assert refuted > 0
+    assert counter.infection[True] > 0 and counter.infection[False] > 0
 
 
 def test_bipartite_pattern_against_oracle():

@@ -37,6 +37,15 @@ def test_add_edge_and_queries():
     assert (0, 1) in list(g.non_edges())
 
 
+def test_without_edge_copies():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    h = g.without_edge(2, 1)
+    assert list(h.edges()) == [(0, 1), (2, 3)] and h.edge_count == 2
+    assert g.edge_count == 3 and g.has_edge(1, 2)
+    with pytest.raises(ValueError):
+        g.without_edge(0, 3)
+
+
 def test_add_edge_rejects_bad_input():
     g = Graph(3)
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import pytest
 
-from wsatlab.graphs import Graph, make_clique
-from wsatlab.oracle import enumerate_labeled_graphs, naive_close, percolation_census
+from wsatlab.graphs import Graph, enumerate_labeled_graphs, make_clique
+from wsatlab.oracle import naive_close, percolation_census
 
 
 def test_enumerate_labeled_graphs_count():
