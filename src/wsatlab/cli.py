@@ -88,11 +88,14 @@ def frac_str(x: Fraction | None) -> str | None:
     return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
-def parse_pair(text: str) -> tuple[int, int]:
+def parse_pair(text: str, n: int) -> tuple[int, int]:
+    """A pair "u v" of distinct vertices of an n-vertex graph, as (min, max)."""
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise UsageError(f"expected 'u v', got {text!r}")
     u, v = int(parts[0]), int(parts[1])
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise UsageError(f"pair {text!r} is not two distinct vertices of 0..{n - 1}")
     return (u, v) if u < v else (v, u)
 
 
@@ -174,7 +177,7 @@ def cmd_percolate(args, started) -> int:
 def cmd_witness(args, started) -> int:
     g = load_graph(args.input)
     h = resolve_pattern(args.pattern)
-    target = parse_pair(args.target)
+    target = parse_pair(args.target, g.n)
     trace, records = close_with_witnesses(g, h)
     if target not in records:
         print(f"target {target} is not in the closure", file=sys.stderr)
@@ -242,7 +245,7 @@ def cmd_ladder(args, started) -> int:
         if not args.host or not args.base:
             raise UsageError("ladder count needs --host and --base")
         g = load_graph(args.host)
-        base = parse_pair(args.base)
+        base = parse_pair(args.base, g.n)
         count = count_induced_ladders_at(g, base, spec)
         emit_json({"count": count, "base": list(base)}, args, started)
         return 0

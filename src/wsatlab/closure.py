@@ -10,14 +10,18 @@ certificate (``_infection_spans``): a clique S with |S| >= v_H - 1 absorbs
 every vertex with delta_H - 1 neighbours in it, so an infection that spans
 proves a complete closure.
 
-``percolates`` applies the degree rule to every pattern.  Past it, K_3 is
-decided by connectivity, K_4 by the clique process
-(``_k4_closure_cliques``) and K_r, r >= 5, by the sequential work queue
-(``_clique_close_seq``).  Other patterns run the rounds of ``close``
-(``_rounds``) without keeping them, and stop early on a complete graph or a
-spanning infection.  ``closure_contains_edge`` answers K_4 by the clique
-process too, other cliques by the infection certificate or else the work
-queue stopped at the target, and other patterns by the degree rule at the
+One clique kernel (``_clique_kernel``) serves every K_r, r >= 3: it grows
+each uncovered edge into a clique of the closure by the infection rule, and
+returns the union of those cliques, or None once one clique spans.  For
+r = 3 the cliques are the components and for r = 4 their union is the
+closure; for r >= 5 it is a subgraph of the closure, and the sequential
+work queue (``_clique_close_seq``) closes the residue.  ``percolates``
+applies the degree rule to every pattern.  Past it, K_3 is decided by
+connectivity and K_r, r >= 4, by the kernel, then the queue when r >= 5.
+Other patterns run the rounds of ``close`` (``_rounds``) without keeping
+them, and stop early on a complete graph or a spanning infection.
+``closure_contains_edge`` answers every K_r, r >= 3, by the kernel and
+then the queue when r >= 5, and other patterns by the degree rule at the
 target's endpoints and then the same rounds, stopped once the target is
 present or the infection spans.  ``wsat percolate`` still runs ``close``,
 because it prints the round count.  Agreement with the round engine
@@ -284,31 +288,16 @@ def _infection_spans(rows: list[int], n: int, need: int, seed_mask: int) -> bool
     return False
 
 
-def _clique_close_seq(
-    g: Graph,
-    r: int,
-    stop: tuple[int, int] | None = None,
-    early_complete: bool = False,
-) -> tuple[Graph, bool]:
+def _clique_close_seq(g: Graph, r: int) -> Graph:
     """Sequential work-queue closure for H = K_r.
 
-    Returns (final graph, flag).  With ``stop`` the flag reports whether the
-    stop edge was added (the graph is then partial).  With ``early_complete``
-    the flag reports a certified-complete closure detected by the infection
-    test; the returned graph may again be partial.  With both, the flag
-    reports either, so it is set iff ``stop`` is in the closure.  Otherwise
-    the final graph coincides with the round-synchronous closure by
+    The final graph coincides with the round-synchronous closure by
     confluence (differentially tested).
     """
     work = g.copy()
     rows = work.rows
-    n = work.n
-    seed = _find_clique_mask(rows, n, r - 1) if early_complete else None
-    if seed is not None and _infection_spans(rows, n, r - 2, seed):
-        return work, True
     pending = deque(work.non_edges())
     inq = set(pending)
-    check_in = 64
     while pending:
         u, v = pending.popleft()
         inq.discard((u, v))
@@ -318,19 +307,8 @@ def _clique_close_seq(
         if not _mask_has_clique(rows, cn, r - 2):
             continue
         work.add_edge(u, v)
-        if stop is not None and (u, v) == stop:
-            return work, True
-        if early_complete:
-            if seed is None:
-                seed = _find_clique_mask(rows, n, r - 1)
-            check_in -= 1
-            if check_in == 0 and seed is not None:
-                check_in = 64
-                if _infection_spans(rows, n, r - 2, seed):
-                    return work, True
-        # inlined _clique_affected_pairs: non-edge pairs whose completion
-        # could use the fresh edge (u,v), as pure mask arithmetic
-        cn = rows[u] & rows[v]
+        # non-edge pairs whose completion could use the fresh edge (u,v),
+        # as pure mask arithmetic
         m = rows[v] & ~rows[u] & ~(1 << u)
         while m:
             b = m & -m
@@ -362,65 +340,65 @@ def _clique_close_seq(
                 if (x, y) not in inq:
                     pending.append((x, y))
                     inq.add((x, y))
-    return work, False
+    return work
 
 
-def _k4_closure_cliques(g: Graph) -> list[int]:
-    """Vertex masks of the cliques whose union is the K_4-closure of g.
+def _clique_kernel(g: Graph, r: int) -> list[int] | None:
+    """Rows of U, a subgraph of the K_r-closure of g (r >= 3) that contains
+    g, or None once one clique of the closure spans every vertex.
 
-    The clique-process view of K_4-percolation (Balogh-Bollobas-Morris,
-    *Graph bootstrap percolation*, 2012): cliques of the closure merge when
-    two share two vertices, or when three pairwise share one vertex each,
-    the three shared vertices distinct.  Both rules are one rule seen from a
-    clique A: a vertex z with two neighbours a, b in A joins it, since
-    {z, a, b, c} is a K_4 minus zc for every other c in A.
+    The clique-process view of K_r-percolation (Balogh-Bollobas-Morris,
+    *Graph bootstrap percolation*, 2012).  Each edge of g that no clique
+    covers yet grows into a clique A in U, the union of g and the cliques
+    found so far, and A's edges then join U.  While |A| < r - 1, the first
+    vertex that sees all of A joins.  From |A| = r - 1 on, every vertex z
+    with r - 2 neighbours N in A joins: for every other c in A, N + {z, c}
+    is a K_r minus zc.  This is the rule of ``_infection_spans``, run from
+    every edge; at |A| = r - 2 it admits exactly the vertices that see all
+    of A, so the two rules agree there.
 
-    Each edge of g that no clique covers yet grows into a clique A by that
-    rule in U, the union of g and the cliques found so far, and A's edges
-    then join U.  A clique at its fixed point stays there when a later
-    clique A' grows: a vertex of A' seeing a second vertex d of the earlier
-    clique would have pulled d into A', which holds the shared vertex too.
-    So at the end no vertex sees two vertices of any clique, U contains no
-    K_4 minus an edge with that edge missing, and U is the closure.  Every
-    clique is contained in the later ones it meets in two vertices, so the
-    cliques no later one covers are returned, in the order they were grown.
-    Once a clique spans the graph the answer is ``[full]``.
+    For r = 3 every A is a component.  For r = 4 U is the closure: a
+    clique at its fixed point stays there when a later clique A' grows,
+    since a vertex of A' seeing a second vertex d of the earlier clique
+    would have pulled d into A', which holds the shared vertex too.  So at
+    the end no vertex sees two vertices of any clique, and U holds no K_4
+    minus an edge with that edge missing.  For r >= 5 the cliques found
+    depend on which vertices join below |A| = r - 2, and U may miss
+    closure edges.
     """
     n = g.n
     full = (1 << n) - 1
     union = list(g.rows)
     covered = [0] * n
-    grown: list[int] = []
+    levels = range(r - 3, 0, -1)
     for u in range(n):
         higher = full ^ ((2 << u) - 1)
         while m := g.rows[u] & higher & ~covered[u]:
             v = (m & -m).bit_length() - 1
             a = 1 << u | 1 << v
-            one = union[u] | union[v]   # vertices with a neighbour in a
-            two = union[u] & union[v]   # ... with two neighbours in a
-            new = two & ~a
-            while new:
-                a |= new
-                for x in bits(new):
-                    r = union[x]
-                    two |= one & r
-                    one |= r
-                new = two & ~a
+            common = union[u] & union[v]
+            while a.bit_count() < r - 1 and (c := common & ~a):
+                b = c & -c
+                a |= b
+                common &= union[b.bit_length() - 1]
+            if a.bit_count() >= r - 1:
+                # more[k]: vertices with more than k neighbours in a
+                more = [0] * (r - 2)
+                new = a
+                while new:
+                    a |= new
+                    for x in bits(new):
+                        row = union[x]
+                        for k in levels:
+                            more[k] |= more[k - 1] & row
+                        more[0] |= row
+                    new = more[-1] & ~a
             if a == full:
-                return [full]
-            grown.append(a)
+                return None
             for x in bits(a):
-                union[x] |= a
+                union[x] |= a ^ 1 << x
                 covered[x] |= a
-    cliques = []
-    seen = [0] * n
-    for a in reversed(grown):
-        u, v = bits(a)[:2]
-        if not seen[u] >> v & 1:
-            cliques.append(a)
-            for x in bits(a):
-                seen[x] |= a
-    return cliques[::-1]
+    return union
 
 
 # -- the round engine ---------------------------------------------------------
@@ -528,54 +506,55 @@ def percolates(g: Graph, h: Graph) -> bool:
     Every pattern first takes the degree rule: a vertex of degree below
     delta_H - 1 that misses an edge can never gain one (a completing copy
     would need delta_H - 1 present edges at it), which refutes percolation.
-    Past it, clique patterns take exact shortcuts.  K_2 always percolates.
-    The K_3 closure turns each component into a clique, so K_3 percolation
-    is connectivity.  The clique process (``_k4_closure_cliques``) decides
-    K_4 and the sequential work queue (``_clique_close_seq``, with its
-    infection certificate) decides K_r, r >= 5.  Other patterns run the
-    rounds of ``close`` without keeping them, and stop once the graph is
-    complete or the infection certificate spans.
+    Past it, K_2 always percolates, and the K_3 closure turns each
+    component into a clique, so K_3 percolation is connectivity.  K_r,
+    r >= 4, runs the clique kernel (``_clique_kernel``), which answers yes
+    once one clique spans; K_4 is then settled, and for r >= 5 the work
+    queue (``_clique_close_seq``) closes the residue the kernel returns.
+    Other patterns run the rounds of ``close`` without keeping them, and
+    stop once the graph is complete or the infection certificate spans.
     """
     info = pattern_info(h)
-    for u in range(g.n):
-        d = g.degree(u)
-        if d < info.delta - 1 and d < g.n - 1:
-            return False
+    need = min(info.delta - 1, g.n - 1)
+    if any(row.bit_count() < need for row in g.rows):
+        return False
     if info.is_clique:
         r = info.n
         if r == 2:
             return True  # every pair completes a K_2 immediately
         if r == 3:
             return is_connected(g)
+        rows = _clique_kernel(g, r)
+        if rows is None or g.n == 1:
+            return True
         if r == 4:
-            return g.n == 1 or _k4_closure_cliques(g) == [(1 << g.n) - 1]
-        final, certified = _clique_close_seq(g, r, early_complete=True)
-        return certified or final.is_complete()
+            return False
+        return _clique_close_seq(Graph.from_rows(g.n, rows), r).is_complete()
     return _rounds_reach(g, h, info, Graph.is_complete)
 
 
 def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     """Does ``target`` end up in the closure of g?
 
-    K_4 asks the clique process whether one closure clique holds both
-    endpoints.  Other cliques (r = 3 or r >= 5) run the work queue with
-    both exits: the infection certificate, tried before the queue starts,
-    proves a complete closure, and the queue stops once it adds
-    ``target``.  Other patterns refute the target when an endpoint has
-    degree below delta_H - 1 (the degree rule of ``percolates``), and
-    otherwise run the rounds of ``close`` until the target is present or
-    the infection certificate spans.
+    K_r, r >= 3, runs the clique kernel (``_clique_kernel``): the target is
+    in the closure if a spanning clique or the kernel's union holds it.
+    For r <= 4 that union is the closure; for r >= 5 the work queue
+    (``_clique_close_seq``) closes the residue.  Other patterns refute the
+    target when an endpoint has degree below delta_H - 1 (the degree rule
+    of ``percolates``), and otherwise run the rounds of ``close`` until the
+    target is present or the infection certificate spans.
     """
-    target = canon_edge(*target)
-    if g.has_edge(*target):
+    u, v = target = canon_edge(*target)
+    if g.has_edge(u, v):
         return True
     info = pattern_info(h)
-    if info.is_clique and info.n == 4:
-        pair = 1 << target[0] | 1 << target[1]
-        return any(c & pair == pair for c in _k4_closure_cliques(g))
     if info.is_clique and info.n >= 3:
-        _, hit = _clique_close_seq(g, info.n, stop=target, early_complete=True)
-        return hit
-    if min(g.degree(target[0]), g.degree(target[1])) < info.delta - 1:
+        rows = _clique_kernel(g, info.n)
+        if rows is None or rows[u] >> v & 1:
+            return True
+        return info.n > 4 and _clique_close_seq(
+            Graph.from_rows(g.n, rows), info.n
+        ).has_edge(u, v)
+    if min(g.degree(u), g.degree(v)) < info.delta - 1:
         return False
     return _rounds_reach(g, h, info, lambda work: work.has_edge(*target))

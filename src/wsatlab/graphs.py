@@ -220,6 +220,10 @@ def is_connected(g: Graph) -> bool:
 # -- edge-list text format -------------------------------------------------
 # First line: n in decimal.  Each following non-empty line: "u v".
 
+# The largest n the graph6 header encodes; a larger edge-list count is
+# refused before any rows are allocated.
+MAX_TEXT_N = 258047
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
@@ -230,6 +234,8 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError as exc:
         raise ValueError(f"bad vertex count line: {lines[0]!r}") from exc
+    if n > MAX_TEXT_N:
+        raise ValueError(f"vertex count {n} above {MAX_TEXT_N}")
     g = Graph(n)
     for ln in lines[1:]:
         parts = ln.split()
@@ -256,9 +262,9 @@ def serialize_edge_list(g: Graph) -> str:
 def _g6_encode_n(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_TEXT_N:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise ValueError("graph6 encoding limited to n <= 258047 here")
+    raise ValueError(f"graph6 encoding limited to n <= {MAX_TEXT_N} here")
 
 
 def _g6_decode_n(data: str) -> tuple[int, int]:
@@ -273,7 +279,7 @@ def _g6_decode_n(data: str) -> tuple[int, int]:
     if len(data) < 4:
         raise ValueError("truncated graph6 header")
     if data[1] == "~":
-        raise ValueError("graph6 n > 258047 not supported")
+        raise ValueError(f"graph6 n > {MAX_TEXT_N} not supported")
     n = 0
     for ch in data[1:4]:
         c = ord(ch)

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .closure import close
 from .graphs import Graph, canon_edge
-from .patterns import PatternStats
-from .witness import Report
+from .patterns import PatternStats, Report
 
 Edge = tuple[int, int]
 

@@ -152,16 +152,21 @@ def analyze(h: Graph) -> PatternStats:
 
 
 @dataclass
-class AppendixReport:
-    checked: int
-    violations: list[str]
+class Report:
+    """Outcome of one verifier: cases checked and the violations found."""
+
+    name: str
+    checked: int = 0
+    violations: list[str] = field(default_factory=list)
+    applicable: bool = True
+    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def verify_appendix_lemmas(v_max: int) -> AppendixReport:
+def verify_appendix_lemmas(v_max: int) -> Report:
     """Exhaustively check, over all labeled graphs H with 4 <= v_H <= v_max
     and delta_H >= 2, that balanced(H) iff every H\\e is 2-balanced, and
     that balanced implies connected."""
@@ -183,7 +188,7 @@ def verify_appendix_lemmas(v_max: int) -> AppendixReport:
                 )
             if stats.balanced and not stats.connected:
                 violations.append(f"n={n} mask={mask}: balanced but disconnected")
-    return AppendixReport(checked=checked, violations=violations)
+    return Report(name="appendix", checked=checked, violations=violations)
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -198,7 +203,7 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 
 __all__ = [
     "PatternStats",
-    "AppendixReport",
+    "Report",
     "analyze",
     "compute_lambda_prime",
     "densest_subgraph_profile",

@@ -17,13 +17,13 @@ first use and kept on the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .closure import ClosureTrace, Embedding, close, closure_contains_edge
 from .graphs import Graph, bits, canon_edge
-from .patterns import PatternStats
+from .patterns import PatternStats, Report
 
 Edge = tuple[int, int]
 
@@ -63,19 +63,6 @@ class REATrace:
     steps: list[REAStep]
     red_edges: list[Edge]
     witness_edges: frozenset[Edge]
-
-
-@dataclass
-class Report:
-    name: str
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    applicable: bool = True
-    details: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 # -- certificate index --------------------------------------------------------

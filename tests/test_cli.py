@@ -169,6 +169,13 @@ def test_usage_errors(capsys, path4_file):
     code, _, err = run(capsys, "ladder", "count", "--pattern", "K4",
                        "--height", "1")
     assert code == 2
+    for pair in ("0 9", "2 2", "-1 2", "0 4"):
+        code, _, err = run(capsys, "witness", "--input", path4_file,
+                           "--pattern", "K3", "--target", pair)
+        assert code == 2 and "distinct vertices" in err
+        code, _, err = run(capsys, "ladder", "count", "--pattern", "K3",
+                           "--height", "1", "--host", path4_file, "--base", pair)
+        assert code == 2 and "distinct vertices" in err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wsatlab import closure
 from wsatlab.closure import (
     _clique_close_seq,
-    _k4_closure_cliques,
+    _clique_kernel,
     close,
     closure_contains_edge,
     find_completion,
@@ -15,7 +15,6 @@ from wsatlab.closure import (
 )
 from wsatlab.graphs import (
     Graph,
-    bits,
     enumerate_labeled_graphs,
     make_clique,
     make_complete_bipartite,
@@ -87,9 +86,7 @@ def test_sequential_clique_engine_matches_round_engine():
     h = make_clique(4)
     for seed in range(25):
         g = sample_gnp(12, 0.3, 400 + seed)
-        seq, flag = _clique_close_seq(g, 4)
-        assert not flag
-        assert seq == close(g, h).final
+        assert _clique_close_seq(g, 4) == close(g, h).final
 
 
 def test_percolates_matches_oracle_small():
@@ -233,19 +230,26 @@ def test_closure_contains_edge_k4_matches_oracle_all_graphs_n5():
                 assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
 
 
+class QueueCounter:
+    """Counts calls of the residue work queue ``closure._clique_close_seq``;
+    a K_r call, r >= 5, that makes none was settled by the kernel alone."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        queue = closure._clique_close_seq
+
+        def counted_queue(*args):
+            self.calls += 1
+            return queue(*args)
+
+        monkeypatch.setattr(closure, "_clique_close_seq", counted_queue)
+
+
 def test_closure_contains_edge_matches_round_engine_random(monkeypatch):
     """K_4 and K_5 on 200 random G(n, p), 7 <= n <= 12, every pair; the K_5
-    calls reach both the infection certificate and, where it fails, the
-    work queue stopped at the target."""
-    reached = {True: 0, False: 0}
-    spans = closure._infection_spans
-
-    def counted_spans(*args):
-        found = spans(*args)
-        reached[found] += 1
-        return found
-
-    monkeypatch.setattr(closure, "_infection_spans", counted_spans)
+    calls are settled both by the kernel alone and by the residue queue."""
+    counter = QueueCounter(monkeypatch)
+    kernel_only = 0
     rng = random.Random(2024)
     for t in range(200):
         n = rng.randint(7, 12)
@@ -254,8 +258,10 @@ def test_closure_contains_edge_matches_round_engine_random(monkeypatch):
         g = sample_gnp(n, rng.uniform(0.25, 0.55) + 0.15 * (r - 4), 6000 + t)
         final = close(g, h).final
         for pair in itertools.combinations(range(n), 2):
+            calls = counter.calls
             assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
-    assert reached[True] > 0 and reached[False] > 0
+            kernel_only += r == 5 and not g.has_edge(*pair) and counter.calls == calls
+    assert kernel_only > 0 and counter.calls > 0
 
 
 def test_closure_contains_edge_noncomplete_matches_round_engine(monkeypatch):
@@ -292,73 +298,158 @@ def test_k3_percolation_is_connectivity_all_graphs_n5():
             assert percolates(g, h) == naive_close(g, h).is_complete()
 
 
-# -- the K_4 clique process ---------------------------------------------------
+# -- the clique kernel ----------------------------------------------------------
 
 
-def clique_union(n: int, cliques: list[int]) -> Graph:
-    rows = [0] * n
-    for a in cliques:
-        for x in bits(a):
-            rows[x] |= a & ~(1 << x)
-    return Graph.from_rows(n, rows)
+def kernel_closure(g: Graph, r: int) -> Graph:
+    """The graph U of ``_clique_kernel``, complete when one clique spans."""
+    rows = _clique_kernel(g, r)
+    if rows is None:
+        return make_clique(g.n)
+    return Graph.from_rows(g.n, rows)
 
 
-def assert_k4_cliques_valid(cliques: list[int]) -> None:
-    """Each mask spans at least an edge, and no two share two vertices."""
-    assert all(a.bit_count() >= 2 for a in cliques)
-    for a, b in itertools.combinations(cliques, 2):
-        assert (a & b).bit_count() <= 1
+def is_subgraph(small: Graph, big: Graph) -> bool:
+    return all(s & ~b == 0 for s, b in zip(small.rows, big.rows))
 
 
-def test_k4_cliques_match_oracle_all_graphs_n5():
-    h = make_clique(4)
+@pytest.mark.parametrize("r", [3, 4])
+def test_kernel_is_the_closure_all_graphs(r):
+    """K_3 and K_4: the kernel against the oracle for n <= 5, and against
+    the work queue for n = 6."""
+    h = make_clique(r)
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
-            cliques = _k4_closure_cliques(g)
-            assert_k4_cliques_valid(cliques)
-            assert clique_union(n, cliques) == naive_close(g, h)
-
-
-def test_k4_cliques_match_sequential_engine_all_graphs_n6():
+            assert kernel_closure(g, r) == naive_close(g, h)
     for g in enumerate_labeled_graphs(6):
-        cliques = _k4_closure_cliques(g)
-        assert_k4_cliques_valid(cliques)
-        assert clique_union(6, cliques) == _clique_close_seq(g, 4)[0]
+        assert kernel_closure(g, r) == _clique_close_seq(g, r)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_kernel_then_queue_all_graphs_n6(r, monkeypatch):
+    """K_5 and K_6 on every graph with n <= 6: the kernel's union lies
+    between g and the closure, and the queue on it gives the closure.
+    ``percolates`` answers yes by the kernel alone on some graphs and runs
+    the residue queue on others."""
+    counter = QueueCounter(monkeypatch)
+    h = make_clique(r)
+    kernel_yes = 0
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            expected = _clique_close_seq(g, r)
+            union = kernel_closure(g, r)
+            assert is_subgraph(g, union) and is_subgraph(union, expected)
+            assert _clique_close_seq(union, r) == expected
+            calls = counter.calls
+            assert percolates(g, h) == expected.is_complete()
+            kernel_yes += n > 1 and union.is_complete() and counter.calls == calls
+    assert kernel_yes > 0 and counter.calls > 0
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_kernel_then_queue_random(r):
+    """K_5 and K_6 on seeded G(n, p), 7 <= n <= 40, around p = n^(-1/lambda)
+    with lambda = (C(r, 2) - 2) / (r - 2), where some graphs percolate and
+    some do not."""
+    lam = (r * (r - 1) / 2 - 2) / (r - 2)
+    rng = random.Random(500 + r)
+    verdicts = set()
+    for t in range(60):
+        n = rng.randint(7, 40)
+        p = rng.uniform(0.6, 1.6) * n ** (-1 / lam)
+        g = sample_gnp(n, p, 7100 + 100 * r + t)
+        expected = _clique_close_seq(g, r)
+        union = kernel_closure(g, r)
+        assert is_subgraph(g, union) and is_subgraph(union, expected)
+        assert _clique_close_seq(union, r) == expected
+        verdicts.add(expected.is_complete())
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
-    "n,edges,expected",
+    "n,edges",
     [
         # triangle 012 with pendant edge 23: clique {2,3} meets 012 once
-        (4, [(0, 1), (0, 2), (1, 2), (2, 3)], [0b0111, 0b1100]),
+        (4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
         # bowtie: two triangles sharing vertex 2 stay apart
-        (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], [0b00111, 0b11100]),
+        (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),
         # K_4 minus an edge closes
-        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [0b1111]),
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
         # triangle 012; 0345 and 1367 are K_4 minus 03 and minus 13, which
         # close by two-vertex merges; only then do the three cliques meet
         # pairwise in 0, 1 and 3, and the closure is K_8
         (8, [(0, 1), (0, 2), (1, 2),
              (0, 4), (0, 5), (4, 5), (3, 4), (3, 5),
-             (1, 6), (1, 7), (6, 7), (3, 6), (3, 7)], [0xFF]),
+             (1, 6), (1, 7), (6, 7), (3, 6), (3, 7)]),
     ],
     ids=["pendant-edge", "bowtie", "k4-minus-edge", "merge-then-triangle"],
 )
-def test_k4_cliques_named_cases(n, edges, expected):
+def test_k4_cliques_named_cases(n, edges):
     g = Graph.from_edges(n, edges)
-    assert _k4_closure_cliques(g) == expected
-    assert clique_union(n, expected) == naive_close(g, make_clique(4))
+    assert kernel_closure(g, 4) == naive_close(g, make_clique(4))
+
+
+def test_kernel_misled_by_growth_order():
+    """K_5 minus the edge (9, 10) on 9..13, each of its 9 edges in its own
+    triangle through a decoy vertex 0..8.  The kernel first grows each
+    decoy edge into its triangle, which no fourth vertex sees whole; the
+    triangles cover every edge of the K_5 minus an edge, so the kernel adds
+    nothing, and the residue queue finds (9, 10)."""
+    k5_minus = [e for e in itertools.combinations(range(9, 14), 2) if e != (9, 10)]
+    edges = list(k5_minus)
+    for d, (x, y) in enumerate(k5_minus):
+        edges += [(d, x), (d, y)]
+    g = Graph.from_edges(14, edges)
+    h = make_clique(5)
+    assert kernel_closure(g, 5) == g
+    assert _clique_close_seq(g, 5) == close(g, h).final
+    assert close(g, h).final.has_edge(9, 10)
+    assert closure_contains_edge(g, h, (9, 10))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 14), st.floats(0.0, 0.6), st.integers(0, 2**32), st.randoms())
-def test_k4_cliques_match_sequential_engine_under_relabelling(n, p, seed, rnd):
+@given(st.integers(3, 6), st.integers(1, 14), st.floats(0.0, 0.7),
+       st.integers(0, 2**32), st.randoms())
+def test_kernel_and_queue_under_relabelling(r, n, p, seed, rnd):
     g = sample_gnp(n, p, seed)
     perm = list(range(n))
     rnd.shuffle(perm)
-    expected = _clique_close_seq(g, 4)[0]
-    for graph, closed in ((g, expected), (relabel(g, perm), relabel(expected, perm))):
-        cliques = _k4_closure_cliques(graph)
-        assert_k4_cliques_valid(cliques)
-        assert clique_union(n, cliques) == closed
-        assert percolates(graph, make_clique(4)) == closed.is_complete()
+    moved = relabel(g, perm)
+    expected = _clique_close_seq(g, r)
+    assert _clique_close_seq(moved, r) == relabel(expected, perm)
+    assert _clique_close_seq(kernel_closure(moved, r), r) == relabel(expected, perm)
+    if r <= 4:
+        assert kernel_closure(moved, r) == relabel(expected, perm)
+    assert percolates(moved, make_clique(r)) == expected.is_complete()
+
+
+# -- closure properties -----------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 10), st.floats(0.0, 0.8),
+       st.integers(0, 2**32))
+def test_closing_a_closed_graph_changes_nothing(r, n, p, seed):
+    h = make_clique(r)
+    closed = close(sample_gnp(n, p, seed), h).final
+    assert close(closed, h).final == closed
+    assert _clique_close_seq(closed, r) == closed
+    assert kernel_closure(closed, r) == closed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.integers(2, 10), st.floats(0.0, 0.8),
+       st.integers(0, 2**32), st.randoms())
+def test_clique_verdicts_survive_an_added_edge(r, n, p, seed, rnd):
+    h = make_clique(r)
+    g = sample_gnp(n, p, seed)
+    missing = list(g.non_edges())
+    if not missing:
+        return
+    more = g.copy()
+    more.add_edge(*rnd.choice(missing))
+    if percolates(g, h):
+        assert percolates(more, h)
+    for pair in itertools.combinations(range(n), 2):
+        if closure_contains_edge(g, h, pair):
+            assert closure_contains_edge(more, h, pair)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wsatlab.graphs import (
     Graph,
@@ -106,6 +106,8 @@ def test_edge_list_rejects_garbage():
         parse_edge_list("3\n0 3\n")
     with pytest.raises(ValueError):
         parse_edge_list("3\n0 1\n0 1\n")
+    with pytest.raises(ValueError):
+        parse_edge_list("999999999999\n")  # refused before allocating rows
 
 
 def test_graph6_known_values():
@@ -157,3 +159,42 @@ def test_edge_count_consistency(n, mask):
     assert g.edge_count == len(list(g.edges()))
     assert g.edge_count == sum(g.degree(u) for u in range(n)) // 2
     assert g.edge_count + len(list(g.non_edges())) == n * (n - 1) // 2
+
+
+# Text that is often close to valid: a vertex count, then edge lines, with
+# stray tokens mixed in; graph6 bytes, the '~' header and the optional prefix.
+JUNK_LINE = st.sampled_from(["x", "1 2 3", "", " 4 ", "1.5", "-1 0", "0 9"])
+EDGE_LIST_TEXT = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(str(n)),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+             .map(lambda e: f"{e[0]} {e[1]}"), max_size=5),
+    st.lists(JUNK_LINE, max_size=1),
+)).map(lambda t: "\n".join([t[0], *t[1], *t[2]]))
+GRAPH6_TEXT = st.tuples(
+    st.sampled_from(["", ">>graph6<<", " "]),
+    st.text(st.characters(min_codepoint=58, max_codepoint=130), max_size=12),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), EDGE_LIST_TEXT))
+def test_parse_edge_list_fuzz(text):
+    try:
+        g = parse_edge_list(text)
+    except ValueError:
+        return
+    out = serialize_edge_list(g)
+    assert parse_edge_list(out) == g
+    assert serialize_edge_list(parse_edge_list(out)) == out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), GRAPH6_TEXT))
+def test_parse_graph6_fuzz(text):
+    try:
+        g = parse_graph6(text)
+    except ValueError:
+        return
+    out = serialize_graph6(g)
+    assert parse_graph6(out) == g
+    assert serialize_graph6(parse_graph6(out)) == out

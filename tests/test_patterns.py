@@ -117,5 +117,6 @@ def test_relabeling_invariance(n, mask, rnd):
 
 def test_appendix_lemmas_hold_to_5():
     rep = verify_appendix_lemmas(5)
+    assert rep.name == "appendix"
     assert rep.checked == 263  # labeled graphs on 4 or 5 vertices with min degree >= 2
     assert rep.ok, rep.violations[:3]
