@@ -313,16 +313,27 @@ def is_subgraph(small: Graph, big: Graph) -> bool:
     return all(s & ~b == 0 for s, b in zip(small.rows, big.rows))
 
 
-@pytest.mark.parametrize("r", [3, 4])
-def test_kernel_is_the_closure_all_graphs(r):
-    """K_3 and K_4: the kernel against the oracle for n <= 5, and against
-    the work queue for n = 6."""
-    h = make_clique(r)
+def test_k3_kernel_is_the_closure_all_graphs():
+    """K_3: the kernel against the oracle for n <= 5, and against the work
+    queue for n = 6."""
+    h = make_clique(3)
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
-            assert kernel_closure(g, r) == naive_close(g, h)
+            assert kernel_closure(g, 3) == naive_close(g, h)
     for g in enumerate_labeled_graphs(6):
-        assert kernel_closure(g, r) == _clique_close_seq(g, r)
+        assert kernel_closure(g, 3) == _clique_close_seq(g, 3)
+
+
+def test_k4_cliques_match_oracle_all_graphs_n5():
+    h = make_clique(4)
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert kernel_closure(g, 4) == naive_close(g, h)
+
+
+def test_k4_cliques_match_sequential_engine_all_graphs_n6():
+    for g in enumerate_labeled_graphs(6):
+        assert kernel_closure(g, 4) == _clique_close_seq(g, 4)
 
 
 @pytest.mark.parametrize("r", [5, 6])
