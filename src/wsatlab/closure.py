@@ -6,27 +6,26 @@ in round t is certified by an embedding checked against G_{t-1} alone.
 Two exact rules hold for every pattern H, with minimum degree delta_H.  The
 degree rule: a vertex of degree below delta_H - 1 never gains an edge, since
 a completing copy needs delta_H - 1 present edges at it.  The infection
-certificate (``_infection_spans``): a clique S with |S| >= v_H - 1 absorbs
-every vertex with delta_H - 1 neighbours in it, so an infection that spans
-proves a complete closure.
+rule, for delta_H >= 1: a clique of the closure with at least v_H - 1
+vertices absorbs every vertex with delta_H - 1 neighbours in it.
 
-One clique kernel (``_clique_kernel``) serves every K_r, r >= 3: it grows
-each uncovered edge into a clique of the closure by the infection rule, and
-returns the union of those cliques, or None once one clique spans.  For
-r = 3 the cliques are the components and for r = 4 their union is the
-closure; for r >= 5 it is a subgraph of the closure, and the sequential
-work queue (``_clique_close_seq``) closes the residue.  ``percolates``
-applies the degree rule to every pattern.  Past it, K_3 is decided by
-connectivity and K_r, r >= 4, by the kernel, then the queue when r >= 5.
-Other patterns run the rounds of ``close`` (``_rounds``) without keeping
-them, and stop early on a complete graph or a spanning infection.
-``closure_contains_edge`` answers every K_r, r >= 3, by the kernel and
-then the queue when r >= 5, and other patterns by the degree rule at the
-target's endpoints and then the same rounds, stopped once the target is
-present or the infection spans.  ``wsat percolate`` still runs ``close``,
-because it prints the round count.  Agreement with the round engine
-(confluence of the monotone automaton) and with ``oracle.naive_close`` is
-enforced by differential tests, never assumed silently.
+One clique kernel (``_clique_kernel``) applies the infection rule for every
+pattern: it grows each uncovered edge into a clique of the closure and
+returns the union of those cliques, or None once one clique spans.  For K_3
+the cliques are the components and for K_4 their union is the closure; for
+other patterns it is a subgraph of the closure.  ``percolates`` and
+``closure_contains_edge`` share one path past their own exits
+(``_closure_holds``): the kernel; then for K_r, r >= 5, the sequential work
+queue (``_clique_close_seq``) on the kernel's union; and for every other
+pattern the rounds of ``close`` (``_rounds``) from that union, without
+keeping them, with the kernel re-run after each round.  ``percolates``
+first applies the degree rule and decides K_2 and K_3 (connectivity) at
+once; ``closure_contains_edge`` first answers a present target and applies
+the degree rule at the target's endpoints.  ``wsat percolate`` still runs
+``close``, because it prints the round count.  Agreement with the round
+engine (confluence of the monotone automaton) and with
+``oracle.naive_close`` is enforced by differential tests, never assumed
+silently.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import Graph, bits, canon_edge, is_connected
 
@@ -86,7 +85,6 @@ class _PatternInfo:
     def __init__(self, h: Graph):
         self.graph = h
         self.n = h.n
-        self.edges = list(h.edges())
         self.is_clique = h.is_complete() and h.n >= 2
         self.delta = h.min_degree()
         self.connected = is_connected(h)
@@ -226,11 +224,9 @@ def _anchored_search(
 
 def _mask_has_clique(rows: list[int], mask: int, k: int) -> bool:
     """Does the graph restricted to ``mask`` contain a k-clique?"""
-    if k <= 0:
-        return True
     if mask.bit_count() < k:
         return False
-    if k == 1:
+    if k <= 1:
         return True
     m = mask
     while m:
@@ -239,51 +235,6 @@ def _mask_has_clique(rows: list[int], mask: int, k: int) -> bool:
         m ^= b
         # only look for cliques whose minimum vertex is w
         if _mask_has_clique(rows, rows[w] & m, k - 1):
-            return True
-    return False
-
-
-def _find_clique_mask(rows: list[int], n: int, k: int) -> int | None:
-    """Bitmask of the first k-clique in lexicographic order, if any."""
-
-    def rec(mask: int, cand: int, need: int) -> int | None:
-        if need == 0:
-            return mask
-        m = cand
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            res = rec(mask | b, rows[w] & m, need - 1)
-            if res is not None:
-                return res
-        return None
-
-    return rec(0, (1 << n) - 1, k)
-
-
-def _infection_spans(rows: list[int], n: int, need: int, seed_mask: int) -> bool:
-    """Sufficient completeness test for the H closure, need = delta_H - 1.
-
-    Grow an infected set from a clique of at least v_H - 1 vertices by
-    absorbing any vertex z with at least ``need`` infected neighbours.  For
-    each infected non-neighbour c of z, a copy of H maps a minimum-degree
-    vertex x to z, one neighbour of x to c, x's other neighbours to
-    neighbours of z and the rest into the clique, so zc is added.  By
-    induction the infected set is a clique in the closure, and a spanning
-    infection certifies percolation.  Needs delta_H >= 1 (x has a
-    neighbour); for K_r, need = r - 2.
-    """
-    s = seed_mask
-    full = (1 << n) - 1
-    frontier = list(bits(seed_mask))
-    while frontier:
-        x = frontier.pop()
-        for v in bits(rows[x] & ~s):
-            if (rows[v] & s).bit_count() >= need:
-                s |= 1 << v
-                frontier.append(v)
-        if s == full:
             return True
     return False
 
@@ -343,47 +294,59 @@ def _clique_close_seq(g: Graph, r: int) -> Graph:
     return work
 
 
-def _clique_kernel(g: Graph, r: int) -> list[int] | None:
-    """Rows of U, a subgraph of the K_r-closure of g (r >= 3) that contains
-    g, or None once one clique of the closure spans every vertex.
+def _clique_kernel(g: Graph, size: int, need: int) -> list[int] | None:
+    """Rows of U, a subgraph of the H-closure of g that contains g, or None
+    once one clique of the closure spans every vertex; size = v_H - 1 and
+    need = delta_H - 1, for a pattern H with delta_H >= 1.
 
-    The clique-process view of K_r-percolation (Balogh-Bollobas-Morris,
-    *Graph bootstrap percolation*, 2012).  Each edge of g that no clique
-    covers yet grows into a clique A in U, the union of g and the cliques
-    found so far, and A's edges then join U.  While |A| < r - 1, the first
-    vertex that sees all of A joins.  From |A| = r - 1 on, every vertex z
-    with r - 2 neighbours N in A joins: for every other c in A, N + {z, c}
-    is a K_r minus zc.  This is the rule of ``_infection_spans``, run from
-    every edge; at |A| = r - 2 it admits exactly the vertices that see all
-    of A, so the two rules agree there.
+    The clique-process view of graph bootstrap percolation (Balogh,
+    Bollobas and Morris, *Graph bootstrap percolation*, 2012).  Each edge of
+    g that no clique covers yet grows into a clique A of U, the union of g
+    and the cliques found so far, and A's edges then join U.  While
+    |A| < size, the first vertex that sees all of A joins.  From |A| = size
+    on, the infection rule holds: every vertex z with ``need`` neighbours N
+    in A joins.  For each c in A that z misses, a copy of H maps a vertex x
+    of degree delta_H to z, one neighbour of x to c, x's other neighbours to
+    N and the rest of H into A minus N and c, which has room since
+    |A| >= v_H - 1; every edge of that copy but zc lies in the closure, so
+    zc does too, and A plus z is a clique of the closure.  With need = 0
+    (delta_H = 1) every vertex joins, so the kernel spans as soon as a
+    clique reaches size vertices; for H = K_2 (size 1) one vertex is such a
+    clique.  With delta_H = 0 the rule fails (x has no neighbour to map to
+    c) and no kernel runs.  For K_r the rule at |A| = r - 2 admits exactly
+    the vertices that see all of A, so the two rules agree there.
 
-    For r = 3 every A is a component.  For r = 4 U is the closure: a
-    clique at its fixed point stays there when a later clique A' grows,
-    since a vertex of A' seeing a second vertex d of the earlier clique
-    would have pulled d into A', which holds the shared vertex too.  So at
-    the end no vertex sees two vertices of any clique, and U holds no K_4
-    minus an edge with that edge missing.  For r >= 5 the cliques found
-    depend on which vertices join below |A| = r - 2, and U may miss
-    closure edges.
+    For K_3 every A is a component.  For K_4 U is the closure: a clique at
+    its fixed point stays there when a later clique A' grows, since a
+    vertex of A' seeing a second vertex d of the earlier clique would have
+    pulled d into A', which holds the shared vertex too.  So at the end no
+    vertex sees two vertices of any clique, and U holds no K_4 minus an
+    edge with that edge missing.  For other patterns the cliques found
+    depend on which vertices join below |A| = size, and U may miss closure
+    edges.
     """
+    if size <= 1:
+        return None
     n = g.n
     full = (1 << n) - 1
     union = list(g.rows)
     covered = [0] * n
-    levels = range(r - 3, 0, -1)
+    levels = range(need - 1, 0, -1)
     for u in range(n):
         higher = full ^ ((2 << u) - 1)
         while m := g.rows[u] & higher & ~covered[u]:
             v = (m & -m).bit_length() - 1
             a = 1 << u | 1 << v
             common = union[u] & union[v]
-            while a.bit_count() < r - 1 and (c := common & ~a):
+            while a.bit_count() < size and (c := common & ~a):
                 b = c & -c
                 a |= b
                 common &= union[b.bit_length() - 1]
-            if a.bit_count() >= r - 1:
+            if a.bit_count() >= size:
+                if not need:
+                    return None
                 # more[k]: vertices with more than k neighbours in a
-                more = [0] * (r - 2)
+                more = [0] * need
                 new = a
                 while new:
                     a |= new
@@ -474,30 +437,45 @@ def _next_candidates(
     ]
 
 
-def _rounds_reach(
-    g: Graph, h: Graph, info: _PatternInfo, done: Callable[[Graph], bool]
+def _closure_holds(
+    g: Graph, info: _PatternInfo, target: tuple[int, int] | None
 ) -> bool:
-    """Does the closure of g satisfy ``done``, a property that edges never
-    destroy and that the complete graph has?
+    """Does the closure of g hold the absent pair ``target``, or, for target
+    None, is it complete?
 
-    Runs the rounds of ``close`` on a copy of g and checks ``done`` after
-    each.  Once the graph holds a (v_H - 1)-clique, the first one found
-    seeds the infection certificate after every round; a spanning infection
-    proves the closure complete.
+    The clique kernel (``_clique_kernel``) runs first when delta_H >= 1.
+    It answers yes once a clique spans or its union U holds the target (or
+    is complete); for K_3 and K_4 U is the closure, so that settles them.
+    K_r, r >= 5, then closes U by the work queue (``_clique_close_seq``).
+    Every other pattern runs the rounds of ``close`` (``_rounds``) from U,
+    without keeping them, and re-runs the kernel after each round.
     """
-    work = g.copy()
-    seed = None
-    for _ in _rounds(work, h, info):
-        if done(work):
+    full = (1 << g.n) - 1
+
+    def holds(rows: list[int] | None) -> bool:
+        if rows is None:
             return True
-        if info.delta >= 1:
-            if seed is None:
-                seed = _find_clique_mask(work.rows, work.n, info.n - 1)
-            if seed is not None and _infection_spans(
-                work.rows, work.n, info.delta - 1, seed
-            ):
-                return True
-    return done(work)
+        if target is None:
+            return all(row | 1 << x == full for x, row in enumerate(rows))
+        return bool(rows[target[0]] >> target[1] & 1)
+
+    def kernel(work: Graph) -> list[int] | None:
+        if info.delta < 1:
+            return work.rows
+        return _clique_kernel(work, info.n - 1, info.delta - 1)
+
+    rows = kernel(g)
+    if holds(rows):
+        return True
+    if info.is_clique:
+        return info.n > 4 and holds(
+            _clique_close_seq(Graph.from_rows(g.n, rows), info.n).rows
+        )
+    work = Graph.from_rows(g.n, rows)
+    for _ in _rounds(work, info.graph, info):
+        if holds(kernel(work)):
+            return True
+    return False
 
 
 def percolates(g: Graph, h: Graph) -> bool:
@@ -507,54 +485,33 @@ def percolates(g: Graph, h: Graph) -> bool:
     delta_H - 1 that misses an edge can never gain one (a completing copy
     would need delta_H - 1 present edges at it), which refutes percolation.
     Past it, K_2 always percolates, and the K_3 closure turns each
-    component into a clique, so K_3 percolation is connectivity.  K_r,
-    r >= 4, runs the clique kernel (``_clique_kernel``), which answers yes
-    once one clique spans; K_4 is then settled, and for r >= 5 the work
-    queue (``_clique_close_seq``) closes the residue the kernel returns.
-    Other patterns run the rounds of ``close`` without keeping them, and
-    stop once the graph is complete or the infection certificate spans.
+    component into a clique, so K_3 percolation is connectivity.  Every
+    other pattern takes the shared path of ``closure_contains_edge``
+    (``_closure_holds``): the clique kernel, then the work queue for K_r,
+    r >= 5, or the rounds of ``close`` for the rest.
     """
     info = pattern_info(h)
     need = min(info.delta - 1, g.n - 1)
     if any(row.bit_count() < need for row in g.rows):
         return False
-    if info.is_clique:
-        r = info.n
-        if r == 2:
-            return True  # every pair completes a K_2 immediately
-        if r == 3:
-            return is_connected(g)
-        rows = _clique_kernel(g, r)
-        if rows is None or g.n == 1:
-            return True
-        if r == 4:
-            return False
-        return _clique_close_seq(Graph.from_rows(g.n, rows), r).is_complete()
-    return _rounds_reach(g, h, info, Graph.is_complete)
+    if info.is_clique and info.n <= 3:
+        return info.n == 2 or is_connected(g)
+    return _closure_holds(g, info, None)
 
 
 def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     """Does ``target`` end up in the closure of g?
 
-    K_r, r >= 3, runs the clique kernel (``_clique_kernel``): the target is
-    in the closure if a spanning clique or the kernel's union holds it.
-    For r <= 4 that union is the closure; for r >= 5 the work queue
-    (``_clique_close_seq``) closes the residue.  Other patterns refute the
-    target when an endpoint has degree below delta_H - 1 (the degree rule
-    of ``percolates``), and otherwise run the rounds of ``close`` until the
-    target is present or the infection certificate spans.
+    A present target is in it.  An endpoint of degree below delta_H - 1
+    refutes it (the degree rule of ``percolates``).  Otherwise the shared
+    path of ``percolates`` (``_closure_holds``) decides: the clique kernel,
+    then the work queue for K_r, r >= 5, or the rounds of ``close`` for
+    other patterns, stopped once the target is present.
     """
     u, v = target = canon_edge(*target)
     if g.has_edge(u, v):
         return True
     info = pattern_info(h)
-    if info.is_clique and info.n >= 3:
-        rows = _clique_kernel(g, info.n)
-        if rows is None or rows[u] >> v & 1:
-            return True
-        return info.n > 4 and _clique_close_seq(
-            Graph.from_rows(g.n, rows), info.n
-        ).has_edge(u, v)
     if min(g.degree(u), g.degree(v)) < info.delta - 1:
         return False
-    return _rounds_reach(g, h, info, lambda work: work.has_edge(*target))
+    return _closure_holds(g, info, target)

@@ -135,6 +135,8 @@ def percolation_curve(
     master_seed: int,
     workers: int | None = None,
 ) -> list[CurvePoint]:
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     h_g6 = serialize_graph6(pattern)
     w = worker_count(workers)
     points = []
@@ -323,6 +325,8 @@ def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[fl
 def ladder_base_experiment(cfg: TrialConfig) -> dict:
     """Frequency with which the fixed pair (0,1) is the base of an induced
     ladder, plus the empirical mean count against its exact expectation."""
+    if cfg.trials < 1:
+        raise ValueError("trials >= 1 required")
     stats = analyze(cfg.pattern)
     p, height, report = resolve_ladder_parameters(cfg, stats)
     h_g6 = serialize_graph6(cfg.pattern)

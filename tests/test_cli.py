@@ -176,6 +176,13 @@ def test_usage_errors(capsys, path4_file):
         code, _, err = run(capsys, "ladder", "count", "--pattern", "K3",
                            "--height", "1", "--host", path4_file, "--base", pair)
         assert code == 2 and "distinct vertices" in err
+    for trials in ("0", "-2"):
+        code, out, err = run(capsys, "curve", "--n", "5", "--pattern", "K3",
+                             "--grid", "0.5", "--trials", trials)
+        assert code == 2 and out == "" and "trials >= 1" in err
+    code, out, err = run(capsys, "ladder-exp", "--n", "8", "--pattern", "K4",
+                         "--p", "0.5", "--height", "1", "--trials", "0")
+    assert code == 2 and out == "" and "trials >= 1" in err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

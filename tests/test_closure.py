@@ -126,30 +126,39 @@ def test_percolates_noncomplete_pattern():
 class ExitCounter:
     """Counts calls of ``closure._rounds`` (a non-clique ``percolates`` or
     ``closure_contains_edge`` call that makes none was settled by the
-    degree rule) and infection certificates that span or fail."""
+    degree rule or the first kernel run) and clique kernel runs that span
+    or fail, in all and among the re-runs after a round."""
 
     def __init__(self, monkeypatch):
         self.rounds = 0
-        self.infection = {True: 0, False: 0}
-        rounds, spans = closure._rounds, closure._infection_spans
+        self.kernel = {True: 0, False: 0}
+        self.rerun = {True: 0, False: 0}
+        self.in_rounds = False
+        rounds, kernel = closure._rounds, closure._clique_kernel
 
         def counted_rounds(*args):
             self.rounds += 1
-            return rounds(*args)
+            self.in_rounds = True
+            try:
+                yield from rounds(*args)
+            finally:
+                self.in_rounds = False
 
-        def counted_spans(*args):
-            found = spans(*args)
-            self.infection[found] += 1
-            return found
+        def counted_kernel(*args):
+            rows = kernel(*args)
+            self.kernel[rows is None] += 1
+            if self.in_rounds:
+                self.rerun[rows is None] += 1
+            return rows
 
         monkeypatch.setattr(closure, "_rounds", counted_rounds)
-        monkeypatch.setattr(closure, "_infection_spans", counted_spans)
+        monkeypatch.setattr(closure, "_clique_kernel", counted_kernel)
 
 
 def test_percolates_dense_patterns_match_round_engine(monkeypatch):
     """K_{3,3} and DD_4 on seeded G(n, p), 8 <= n <= 16, against the round
-    engine; the degree rule fires, and the infection certificate both spans
-    and fails."""
+    engine; the degree rule fires, and the clique kernel both spans and
+    fails, also when re-run after a round."""
     counter = ExitCounter(monkeypatch)
     rng = random.Random(77)
     rejected = 0
@@ -160,9 +169,10 @@ def test_percolates_dense_patterns_match_round_engine(monkeypatch):
         expected = close(g, h).final.is_complete()
         rounds_before = counter.rounds
         assert percolates(g, h) == expected
-        rejected += counter.rounds == rounds_before
-    assert rejected > 0  # percolates returned before any round: the degree rule
-    assert counter.infection[True] > 0 and counter.infection[False] > 0
+        rejected += not expected and counter.rounds == rounds_before
+    assert rejected > 0  # refuted before any round: the degree rule
+    assert counter.kernel[True] > 0 and counter.kernel[False] > 0
+    assert counter.rerun[True] > 0 and counter.rerun[False] > 0
 
 
 def test_infection_needs_a_pattern_without_isolated_vertices():
@@ -175,6 +185,20 @@ def test_infection_needs_a_pattern_without_isolated_vertices():
     assert not naive_close(g, h).is_complete()
     assert not percolates(g, h)
     assert not closure_contains_edge(g, h, (1, 4))
+
+
+def test_kernel_spans_from_one_clique_when_delta_is_one(monkeypatch):
+    # The paw (a triangle with a pendant edge) has delta_H = 1, so a
+    # triangle of g absorbs every other vertex: mapping the pendant vertex
+    # to the isolated vertex 3 and its neighbour into the triangle adds an
+    # edge at 3 with no edge there.  The kernel spans before any round.
+    counter = ExitCounter(monkeypatch)
+    h = SMALL_PATTERNS["paw"]
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert naive_close(g, h).is_complete()
+    assert percolates(g, h)
+    assert closure_contains_edge(g, h, (0, 3))
+    assert counter.rounds == 0 and counter.kernel == {True: 2, False: 0}
 
 
 PROPERTY_PATTERNS = {**SMALL_PATTERNS, "K3,3": make_complete_bipartite(3, 3)}
@@ -193,9 +217,12 @@ def test_percolates_noncomplete_relabelling_and_monotone(name, n, p, seed, rnd):
     g = sample_gnp(n, p, seed)
     perm = list(range(n))
     rnd.shuffle(perm)
+    final = close(g, h).final
     verdict = percolates(g, h)
-    assert verdict == close(g, h).final.is_complete()
+    assert verdict == final.is_complete()
     assert percolates(relabel(g, perm), h) == verdict
+    for pair in itertools.combinations(range(n), 2):
+        assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
     if verdict:
         for pair in g.non_edges():
             more = g.copy()
@@ -223,6 +250,18 @@ def test_closure_contains_edge_early_exit():
 
 def test_closure_contains_edge_k4_matches_oracle_all_graphs_n5():
     h = make_clique(4)
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            final = naive_close(g, h)
+            for pair in itertools.combinations(range(n), 2):
+                assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
+
+
+@pytest.mark.parametrize("name", ["K2", "K3", *SMALL_PATTERNS])
+def test_closure_contains_edge_matches_oracle_all_graphs(name):
+    """Every graph with n <= 5 and every pair, K_4 aside (its own test
+    above), against ``naive_close``; K_2 closes even an edgeless graph."""
+    h = {"K2": make_clique(2), "K3": make_clique(3), **SMALL_PATTERNS}[name]
     for n in range(2, 6):
         for g in enumerate_labeled_graphs(n):
             final = naive_close(g, h)
@@ -267,7 +306,7 @@ def test_closure_contains_edge_matches_round_engine_random(monkeypatch):
 def test_closure_contains_edge_noncomplete_matches_round_engine(monkeypatch):
     """C_4 and K_{2,3} on random G(n, p), every pair, against the round
     engine; the degree rule at the endpoints refutes some targets, and the
-    infection certificate both spans and fails."""
+    clique kernel both spans and fails, also when re-run after a round."""
     counter = ExitCounter(monkeypatch)
     rng = random.Random(31)
     refuted = 0
@@ -279,9 +318,10 @@ def test_closure_contains_edge_noncomplete_matches_round_engine(monkeypatch):
         for pair in itertools.combinations(range(n), 2):
             rounds_before = counter.rounds
             assert closure_contains_edge(g, h, pair) == final.has_edge(*pair)
-            refuted += not g.has_edge(*pair) and counter.rounds == rounds_before
+            refuted += not final.has_edge(*pair) and counter.rounds == rounds_before
     assert refuted > 0
-    assert counter.infection[True] > 0 and counter.infection[False] > 0
+    assert counter.kernel[True] > 0 and counter.kernel[False] > 0
+    assert counter.rerun[True] > 0 and counter.rerun[False] > 0
 
 
 def test_bipartite_pattern_against_oracle():
@@ -303,7 +343,7 @@ def test_k3_percolation_is_connectivity_all_graphs_n5():
 
 def kernel_closure(g: Graph, r: int) -> Graph:
     """The graph U of ``_clique_kernel``, complete when one clique spans."""
-    rows = _clique_kernel(g, r)
+    rows = _clique_kernel(g, r - 1, r - 2)
     if rows is None:
         return make_clique(g.n)
     return Graph.from_rows(g.n, rows)
