@@ -492,7 +492,7 @@ def percolates(g: Graph, h: Graph) -> bool:
     """
     info = pattern_info(h)
     need = min(info.delta - 1, g.n - 1)
-    if any(row.bit_count() < need for row in g.rows):
+    if min(map(int.bit_count, g.rows)) < need:
         return False
     if info.is_clique and info.n <= 3:
         return info.n == 2 or is_connected(g)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import percolates
-from .graphs import Graph, parse_graph6, serialize_graph6
+from .graphs import Graph
 from .ladders import LadderSpec, count_induced_ladders_at
 from .patterns import PatternStats, analyze
 
@@ -40,24 +41,69 @@ def mix_seed(master_seed: int, stream_id: int) -> int:
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ ((stream_id * _PHI64) & _MASK64))
 
 
+# Uniforms are drawn in blocks of this many, so one draw never holds the
+# n(n - 1)/2 float64s at once; each float64 consumes one 64-bit Philox
+# output, so the blocks do not change the stream.
+_BLOCK = 1 << 16
+
+_thread = threading.local()
+
+
+def _philox_stream(seed: int) -> np.random.Generator:
+    """This thread's Generator(Philox), set to the start of the stream of
+    Philox(key=seed): counter 0, key [seed mod 2^64, 0], empty buffer.
+
+    Building Philox(key=...) per draw would gather OS entropy for a
+    SeedSequence that is then thrown away.  The generator is made on first
+    use, so importing this module does not import numpy.random.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed & _MASK64, 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi sample, fully determined by (n, p, seed)."""
+    """Erdos-Renyi sample, fully determined by (n, p, seed).
+
+    Pair k of the upper triangle in row-major order, (0, 1), (0, 2), ...,
+    (n - 2, n - 1), is an edge iff the k-th uniform of the Philox stream
+    keyed by ``seed`` is below p.  A draw needs O(n^2) bytes of scratch.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0,1]")
     if n < 1:
         raise ValueError("n >= 1 required")
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-    drawn = rng.random(n * (n - 1) // 2) < p
-    m = np.zeros((n, n), dtype=bool)
-    # boolean-mask assignment fills the upper triangle in row-major order,
-    # the order of np.triu_indices, without its int64 index arrays
-    m[np.triu(np.ones((n, n), dtype=bool), 1)] = drawn
-    m |= m.T
-    data = np.packbits(m, axis=1, bitorder="little").tobytes()
-    width = (n + 7) // 8
+    rng = _philox_stream(seed)
+    v = np.arange(n)
+    starts = v * (2 * n - v - 1) // 2       # index of pair (v, v + 1)
+    total = n * (n - 1) // 2
+    a = np.zeros((n, n), dtype=bool)
+    m = 0
+    for off in range(0, total, _BLOCK):
+        k = np.flatnonzero(rng.random(min(_BLOCK, total - off)) < p) + off
+        i = np.searchsorted(starts, k, side="right") - 1
+        j = k - starts[i] + i + 1
+        a[i, j] = True
+        a[j, i] = True
+        m += len(k)
+    data = np.packbits(a, axis=1, bitorder="little").tobytes()
+    w = (n + 7) // 8
+    from_bytes = int.from_bytes
     g = Graph(n)
-    g.rows = [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
-    g._m = int(np.count_nonzero(drawn))
+    g.rows = [from_bytes(data[x:x + w], "little") for x in range(0, n * w, w)]
+    g._m = m
     return g
 
 
@@ -91,16 +137,17 @@ def _trial_map(workers: int):
         yield pool_map
 
 
-def _percolation_trial(args: tuple[int, float, int, str]) -> bool:
-    n, p, seed, h_g6 = args
-    return percolates(sample_gnp(n, p, seed), parse_graph6(h_g6))
+# Trial tasks carry the pattern Graph itself: pickle sends one shared object
+# once per pool chunk, which is cheaper than parsing graph6 in every trial.
+def _percolation_trial(args: tuple[int, float, int, Graph]) -> bool:
+    n, p, seed, h = args
+    return percolates(sample_gnp(n, p, seed), h)
 
 
-def _ladder_count_trial(args: tuple[int, float, int, str, int]) -> int:
-    n, p, seed, h_g6, height = args
-    g = sample_gnp(n, p, seed)
-    spec = LadderSpec(pattern=parse_graph6(h_g6), height=height)
-    return count_induced_ladders_at(g, (0, 1), spec)
+def _ladder_count_trial(args: tuple[int, float, int, Graph, int]) -> int:
+    n, p, seed, h, height = args
+    spec = LadderSpec(pattern=h, height=height)
+    return count_induced_ladders_at(sample_gnp(n, p, seed), (0, 1), spec)
 
 
 # -- percolation probability ----------------------------------------------------
@@ -135,15 +182,16 @@ def percolation_curve(
     master_seed: int,
     workers: int | None = None,
 ) -> list[CurvePoint]:
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    h_g6 = serialize_graph6(pattern)
     w = worker_count(workers)
     points = []
     with _trial_map(w) as trial_map:
         for pi, p in enumerate(ps):
             tasks = [
-                (n, p, mix_seed(master_seed, (pi << 32) | t), h_g6)
+                (n, p, mix_seed(master_seed, (pi << 32) | t), pattern)
                 for t in range(trials)
             ]
             succ = sum(trial_map(_percolation_trial, tasks))
@@ -177,9 +225,12 @@ def bisect_pc(
     """Bisection for the median percolation point, exploiting monotonicity
     of the percolation event in p.  The initial bracket is grown by
     doubling/halving from the n^(-1/lambda) theory marker."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    h_g6 = serialize_graph6(pattern)
+    if not tolerance >= 0:  # NaN included
+        raise ValueError("tolerance >= 0 required")
     w = worker_count(workers)
     stats = analyze(pattern)
     if stats.lam is not None and stats.lam > 0:
@@ -192,7 +243,7 @@ def bisect_pc(
         def probe(p: float) -> float:
             idx = len(probes)
             tasks = [
-                (n, p, mix_seed(master_seed, (idx << 40) | t), h_g6)
+                (n, p, mix_seed(master_seed, (idx << 40) | t), pattern)
                 for t in range(trials)
             ]
             succ = sum(trial_map(_percolation_trial, tasks))
@@ -325,14 +376,15 @@ def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[fl
 def ladder_base_experiment(cfg: TrialConfig) -> dict:
     """Frequency with which the fixed pair (0,1) is the base of an induced
     ladder, plus the empirical mean count against its exact expectation."""
+    if cfg.n < 1:
+        raise ValueError("n >= 1 required")
     if cfg.trials < 1:
         raise ValueError("trials >= 1 required")
     stats = analyze(cfg.pattern)
     p, height, report = resolve_ladder_parameters(cfg, stats)
-    h_g6 = serialize_graph6(cfg.pattern)
     w = worker_count(cfg.workers)
     tasks = [
-        (cfg.n, p, mix_seed(cfg.master_seed, t), h_g6, height)
+        (cfg.n, p, mix_seed(cfg.master_seed, t), cfg.pattern, height)
         for t in range(cfg.trials)
     ]
     with _trial_map(w) as trial_map:

@@ -183,6 +183,17 @@ def test_usage_errors(capsys, path4_file):
     code, out, err = run(capsys, "ladder-exp", "--n", "8", "--pattern", "K4",
                          "--p", "0.5", "--height", "1", "--trials", "0")
     assert code == 2 and out == "" and "trials >= 1" in err
+    for n in ("0", "-4"):
+        code, out, err = run(capsys, "pc-search", "--n", n, "--pattern", "K4",
+                             "--trials", "5")
+        assert code == 2 and out == "" and "n >= 1" in err
+        code, out, err = run(capsys, "curve", "--n", n, "--pattern", "K3",
+                             "--grid", "0.5", "--trials", "5")
+        assert code == 2 and out == "" and "n >= 1" in err
+    for tol in ("-1", "nan"):
+        code, out, err = run(capsys, "pc-search", "--n", "10", "--pattern", "K4",
+                             "--trials", "5", "--tol", tol)
+        assert code == 2 and out == "" and "tolerance >= 0" in err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

@@ -1,11 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wsatlab import experiments
-from wsatlab.graphs import make_clique, serialize_graph6
+from wsatlab.graphs import Graph, make_clique, serialize_graph6
 from wsatlab.ladders import LadderSpec
 from wsatlab.patterns import analyze
 from wsatlab.experiments import (
@@ -52,6 +59,81 @@ def test_sample_gnp_pinned_draws(n, p, seed, edges, graph6):
         text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
     assert text == graph6
     assert g.edge_count == edges == sum(r.bit_count() for r in g.rows) // 2
+
+
+def reference_sample_gnp(n: int, p: float, seed: int) -> Graph:
+    """The earlier all-at-once sampler: one Philox per draw, all n(n-1)/2
+    uniforms, and an upper-triangle mask."""
+    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    drawn = rng.random(n * (n - 1) // 2) < p
+    m = np.zeros((n, n), dtype=bool)
+    m[np.triu(np.ones((n, n), dtype=bool), 1)] = drawn
+    m |= m.T
+    data = np.packbits(m, axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8
+    g = Graph(n)
+    g.rows = [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
+    g._m = int(np.count_nonzero(drawn))
+    return g
+
+
+# n = 363 and n = 600 span two and three blocks of uniforms
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 65, 100, 362, 363, 600])
+def test_sample_gnp_matches_reference(n):
+    for p in (0.0, 1e-4, 0.07, 0.5, 1.0):
+        for seed in (0, 97, (1 << 64) - 12345):
+            g, ref = sample_gnp(n, p, seed), reference_sample_gnp(n, p, seed)
+            assert g.rows == ref.rows, (n, p, seed)
+            assert g.edge_count == ref.edge_count, (n, p, seed)
+
+
+def test_sample_gnp_memory_peak():
+    sample_gnp(50, 0.1, 1)  # the thread's generator is built outside the trace
+    tracemalloc.start()
+    try:
+        sample_gnp(1600, 0.0146, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+def test_sample_gnp_threads_draw_the_serial_stream():
+    cases = [(60 + t, 0.1 * (1 + t % 5), mix_seed(31, t)) for t in range(24)]
+    expect = [sample_gnp(*c).rows for c in cases]
+    results: dict[int, list] = {}
+
+    def work(w: int) -> None:
+        for _ in range(20):
+            for t in range(w, len(cases), 4):
+                results.setdefault(t, []).append(sample_gnp(*cases[t]).rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == list(range(len(cases)))
+    for t, draws in results.items():
+        assert len(draws) == 20 and all(rows == expect[t] for rows in draws)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the pool's parent must not pay for numpy.random: it only samples in
+    # the workers, and the import adds several MB of resident memory
+    code = ("import sys, wsatlab, wsatlab.cli, wsatlab.experiments; "
+            "print('numpy.random' in sys.modules)")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_sample_gnp_extremes_and_stats():
@@ -133,6 +215,21 @@ def test_fit_exponent_exact():
     assert stderr == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         fit_exponent(pts[:2])
+
+
+def test_monte_carlo_refuses_bad_sizes_up_front():
+    k4 = make_clique(4)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="n >= 1"):
+            bisect_pc(n, k4, trials=5, tolerance=0.1, master_seed=1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            percolation_curve(n, k4, [0.5], 5, 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            ladder_base_experiment(TrialConfig(n=n, pattern=k4, p=None, trials=5,
+                                               master_seed=1, alpha=2.0, beta=0.3))
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance >= 0"):
+            bisect_pc(10, k4, trials=5, tolerance=tol, master_seed=1)
 
 
 def test_bisect_pc_k2_trivial():
