@@ -80,7 +80,18 @@ class ClosureTrace:
 
 
 class _PatternInfo:
-    """Search plans per anchor-edge orbit of the pattern."""
+    """Search plans of the pattern, one per arc orbit under Aut(H).
+
+    A plan anchors the search at an arc (a, b) of the pattern: a maps to
+    the pair's lower vertex and b to its upper one.  Each edge-orbit
+    representative (a, b), in sorted order, gets the plan (a, b), then the
+    plan (b, a) unless some automorphism sigma of H swaps a and b.  With
+    such a sigma the reversed plan is never needed: it only runs after
+    (a, b) has failed, and a copy phi it finds, with b -> u and a -> v,
+    gives the copy phi o sigma with a -> u and b -> v, so (a, b) would not
+    have failed.  Patterns too large for the automorphism scan keep every
+    edge in both orientations.
+    """
 
     def __init__(self, h: Graph):
         self.graph = h
@@ -88,19 +99,27 @@ class _PatternInfo:
         self.is_clique = h.is_complete() and h.n >= 2
         self.delta = h.min_degree()
         self.connected = is_connected(h)
-        reps = _edge_orbit_reps(h)
-        # One plan per (orbit rep, orientation).
-        self.plans = []
-        for a, b in reps:
-            for anchor in ((a, b), (b, a)):
-                self.plans.append(_SearchPlan(h, anchor, (a, b)))
+        self.plans = [_SearchPlan(h, anchor) for anchor in _arc_orbit_reps(h)]
 
 
 class _SearchPlan:
-    """Static vertex order and placed-neighbor lists for one anchored search."""
+    """Static vertex order, placed-neighbour lists and twin floors for one
+    anchored search.
 
-    def __init__(self, h: Graph, anchor: tuple[int, int], rep: tuple[int, int]):
-        self.anchor = rep  # canonical pattern edge, for reporting
+    The anchor's ends take positions 0 and 1; each further position takes
+    the vertex with the most placed neighbours, then the least id.
+    ``twin_floor[i]`` is the latest earlier position i' >= 2 whose vertex
+    is a twin of vertex order[i] (the same neighbours apart from each
+    other), or -1; the search maps position i only above the image of
+    position i'.  The depth-first search returns the lexicographically
+    least image vector, and that vector already has twins in ascending
+    order: swapping two non-anchor twins is an automorphism of H that
+    fixes the anchor, so a copy with a twin pair in descending order gives
+    one that is smaller at the earlier position.
+    """
+
+    def __init__(self, h: Graph, anchor: tuple[int, int]):
+        self.anchor = canon_edge(*anchor)  # the pattern edge, for reporting
         a, b = anchor
         order = [a, b]
         placed = {a, b}
@@ -121,6 +140,13 @@ class _SearchPlan:
             [pos[y] for y in order[:i] if h.has_edge(x, y)]
             for i, x in enumerate(order)
         ]
+        rows = h.rows
+        self.twin_floor = [-1] * len(order)
+        for i, x in enumerate(order):
+            for j in range(2, i):
+                y = order[j]
+                if rows[x] & ~(1 << y) == rows[y] & ~(1 << x):
+                    self.twin_floor[i] = j
 
 
 @lru_cache(maxsize=256)
@@ -132,15 +158,18 @@ def pattern_info(h: Graph) -> _PatternInfo:
     return _pattern_info_by_rows(h.n, tuple(h.rows))
 
 
-def _edge_orbit_reps(h: Graph) -> list[tuple[int, int]]:
-    """One representative per edge orbit under Aut(h), sorted; falls back to
-    all edges for patterns too large for the brute-force group scan."""
+def _arc_orbit_reps(h: Graph) -> list[tuple[int, int]]:
+    """The anchors of the search plans: for each edge-orbit representative
+    (a, b) under Aut(h), in sorted order, the arc (a, b), then (b, a) unless
+    some automorphism swaps a and b.  Patterns too large for the
+    brute-force group scan get every edge in both orientations."""
     edges = list(h.edges())
     if h.n > 8:
-        return edges
+        return [arc for a, b in edges for arc in ((a, b), (b, a))]
     edge_set = set(edges)
     index = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
+    swapped = [False] * len(edges)
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -162,7 +191,15 @@ def _edge_orbit_reps(h: Graph) -> list[tuple[int, int]]:
             a, b = find(i), find(index[f])
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    return sorted({edges[find(i)] for i in range(len(edges))})
+            u, v = edges[i]
+            swapped[i] |= perm[u] == v and perm[v] == u
+    anchors = []
+    for i in sorted({find(i) for i in range(len(edges))}):  # edges are sorted
+        a, b = edges[i]
+        anchors.append((a, b))
+        if not swapped[i]:
+            anchors.append((b, a))
+    return anchors
 
 
 # -- anchored embedding search ----------------------------------------------
@@ -171,8 +208,16 @@ def _edge_orbit_reps(h: Graph) -> list[tuple[int, int]]:
 def find_completion(g: Graph, pair: tuple[int, int], h: Graph) -> Embedding | None:
     """Deterministic anchored search for a copy of h completed by ``pair``.
 
-    Tries anchor-edge orbits of h in sorted order, both orientations, and
-    host candidates in ascending order, returning the first embedding found.
+    Tries the plans of ``pattern_info(h)`` in order, one per arc orbit of
+    each anchor-edge orbit (sorted), and host candidates in ascending
+    order, returning the first embedding found: the lexicographically least
+    image vector of the first plan that has one.  Two kinds of branches are
+    skipped because their answer is known (see ``_PatternInfo`` and
+    ``_SearchPlan``): the reversed plan of an edge whose ends some
+    automorphism swaps, which cannot succeed once the plan before it has
+    failed, and twins of H mapped in descending order, which that least
+    vector never has.  So the result is that of the search over every
+    orbit representative in both orientations without either cut.
     """
     u, v = canon_edge(*pair)
     if g.has_edge(u, v):
@@ -199,6 +244,7 @@ def _anchored_search(
     image = [pair[0], pair[1]] + [-1] * (k - 2)
     used = 1 << pair[0] | 1 << pair[1]
     rows = g.rows
+    twin_floor = plan.twin_floor
 
     def extend(i: int, used: int) -> bool:
         if i == k:
@@ -207,6 +253,9 @@ def _anchored_search(
         for j in plan.placed_nbrs[i]:
             cand &= rows[image[j]]
         cand &= ~used
+        if twin_floor[i] >= 0:
+            # only above the image of the earlier twin
+            cand &= -(2 << image[twin_floor[i]])
         while cand:
             b = cand & -cand
             w = b.bit_length() - 1

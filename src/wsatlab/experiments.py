@@ -380,6 +380,10 @@ def ladder_base_experiment(cfg: TrialConfig) -> dict:
         raise ValueError("n >= 1 required")
     if cfg.trials < 1:
         raise ValueError("trials >= 1 required")
+    if cfg.alpha is not None and not cfg.alpha >= 0:  # NaN included
+        raise ValueError("alpha >= 0 required")
+    if cfg.beta is not None and not cfg.beta > 0:  # NaN included
+        raise ValueError("beta > 0 required")
     stats = analyze(cfg.pattern)
     p, height, report = resolve_ladder_parameters(cfg, stats)
     w = worker_count(cfg.workers)

@@ -183,6 +183,11 @@ def test_usage_errors(capsys, path4_file):
     code, out, err = run(capsys, "ladder-exp", "--n", "8", "--pattern", "K4",
                          "--p", "0.5", "--height", "1", "--trials", "0")
     assert code == 2 and out == "" and "trials >= 1" in err
+    for alpha, beta, message in (("-1", "0.3", "alpha >= 0"), ("nan", "0.3", "alpha >= 0"),
+                                 ("1", "0", "beta > 0"), ("1", "nan", "beta > 0")):
+        code, out, err = run(capsys, "ladder-exp", "--n", "5", "--pattern", "K4",
+                             "--alpha", alpha, "--beta", beta, "--trials", "3")
+        assert code == 2 and out == "" and message in err
     for n in ("0", "-4"):
         code, out, err = run(capsys, "pc-search", "--n", n, "--pattern", "K4",
                              "--trials", "5")

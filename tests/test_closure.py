@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsatlab import closure
 from wsatlab.closure import (
+    Embedding,
     _clique_close_seq,
     _clique_kernel,
     close,
@@ -15,6 +16,8 @@ from wsatlab.closure import (
 )
 from wsatlab.graphs import (
     Graph,
+    bits,
+    canon_edge,
     enumerate_labeled_graphs,
     make_clique,
     make_complete_bipartite,
@@ -40,6 +43,128 @@ def test_find_completion_simple():
 def test_find_completion_none():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert find_completion(g, (0, 2), make_clique(4)) is None
+
+
+# -- the anchored search against its reference ------------------------------
+
+
+def reference_plans(h: Graph) -> list[tuple[tuple[int, int], list[int]]]:
+    """The search plans without their cuts: every edge-orbit representative
+    of h under Aut(h) (every edge when v_H > 8), sorted, in both
+    orientations, each with its vertex order (anchor first, then most
+    placed neighbours, then least id)."""
+    edges = list(h.edges())
+    autos = [
+        perm
+        for perm in itertools.permutations(range(h.n))
+        if all(h.has_edge(perm[u], perm[v]) for u, v in edges)
+    ] if h.n <= 8 else [range(h.n)]
+    reps = sorted(
+        {min(canon_edge(perm[u], perm[v]) for perm in autos) for u, v in edges}
+    )
+    plans = []
+    for a, b in reps:
+        for x, y in ((a, b), (b, a)):
+            order = [x, y]
+            rest = [z for z in range(h.n) if z not in order]
+            while rest:
+                best = max(rest, key=lambda z: (
+                    sum(h.has_edge(z, w) for w in order), -z))
+                order.append(best)
+                rest.remove(best)
+            plans.append(((a, b), order))
+    return plans
+
+
+def reference_completion(g: Graph, pair, h: Graph, plans) -> Embedding | None:
+    """``find_completion`` over ``plans``: the first plan with a copy gives
+    the least image vector, host candidates taken in ascending order."""
+    u, v = pair
+
+    def extend(order, image, used):
+        i = len(image)
+        if i == len(order):
+            return True
+        cand = (1 << g.n) - 1 & ~used
+        for j in range(i):
+            if h.has_edge(order[i], order[j]):
+                cand &= g.rows[image[j]]
+        for w in bits(cand):
+            image.append(w)
+            if extend(order, image, used | 1 << w):
+                return True
+            image.pop()
+        return False
+
+    for anchor, order in plans:
+        image = [u, v]
+        if extend(order, image, 1 << u | 1 << v):
+            mapping = [0] * h.n
+            for x, w in zip(order, image):
+                mapping[x] = w
+            return Embedding(mapping=tuple(mapping), anchor=anchor, pair=(u, v))
+    return None
+
+
+PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+def test_search_plans_one_per_arc_orbit():
+    def anchors(h):
+        return [tuple(plan.order[:2]) for plan in closure.pattern_info(h).plans]
+
+    for r in range(3, 7):
+        assert anchors(make_clique(r)) == [(0, 1)]
+    assert len(anchors(make_complete_bipartite(3, 3))) == 1
+    assert anchors(make_double_barbell(4)) == [(0, 1), (0, 2), (2, 0), (0, 4), (2, 3)]
+    # no automorphism of the paw swaps the ends of its pendant edge 23
+    assert anchors(PAW) == [(0, 1), (0, 2), (2, 0), (2, 3), (3, 2)]
+    # past 8 vertices there is no automorphism scan: every edge, both ways
+    dd5 = make_double_barbell(5)
+    assert len(anchors(dd5)) == 2 * dd5.edge_count
+    # K_4: position 3 (vertex 3) is a twin of position 2 (vertex 2)
+    assert closure.pattern_info(make_clique(4)).plans[0].twin_floor == [-1, -1, -1, 2]
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "C4", "paw", "diamond", "K1,3", "P4", "K2,3"])
+def test_find_completion_matches_reference_all_graphs(name):
+    """Every non-edge of every graph with n <= 5: the same Embedding as
+    the search over both orientations of every orbit rep, without twin
+    order."""
+    h = {
+        "K3": make_clique(3),
+        "K4": make_clique(4),
+        "P4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        **SMALL_PATTERNS,
+    }[name]
+    plans = reference_plans(h)
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            for pair in g.non_edges():
+                assert find_completion(g, pair, h) == reference_completion(g, pair, h, plans)
+
+
+def test_find_completion_matches_reference_random():
+    """K_5, K_{3,3} and DD_4 on 200 seeded G(n, p), 8 <= n <= 16, every
+    non-edge; some DD_4 copies come from the reversed plan (2, 0), which
+    no automorphism makes redundant."""
+    patterns = [make_clique(5), make_complete_bipartite(3, 3), make_double_barbell(4)]
+    plans = [reference_plans(h) for h in patterns]
+    rng = random.Random(909)
+    found = [0, 0, 0]
+    reversed_dd4 = 0
+    for t in range(200):
+        k = t % 3
+        h = patterns[k]
+        n = rng.randint(8, 16)
+        g = sample_gnp(n, rng.uniform(0.3, 0.7), 9900 + t)
+        for pair in g.non_edges():
+            emb = find_completion(g, pair, h)
+            assert emb == reference_completion(g, pair, h, plans[k])
+            if emb is not None:
+                found[k] += 1
+                reversed_dd4 += k == 2 and emb.anchor == (0, 2) and emb.mapping[2] == pair[0]
+    assert min(found) > 0 and reversed_dd4 > 0
 
 
 def test_close_records_certified_rounds():
@@ -104,7 +229,7 @@ def test_percolates_k2_always():
 SMALL_PATTERNS = {
     "C4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
     "diamond": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-    "paw": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "paw": PAW,
     "K1,3": make_complete_bipartite(1, 3),
     "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
     "P3+K1": Graph.from_edges(4, [(0, 1), (1, 2)]),
