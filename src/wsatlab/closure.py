@@ -19,18 +19,16 @@ other patterns it is a subgraph of the closure.  ``percolates`` and
 queue (``_clique_close_seq``) on the kernel's union; and for every other
 pattern the rounds of ``close`` (``_rounds``) from that union, without
 keeping them, with the kernel re-run after each round.  ``percolates``
-first applies the degree rule and decides K_2 and K_3 (connectivity) at
-once; ``closure_contains_edge`` first answers a present target and applies
-the degree rule at the target's endpoints.  ``wsat percolate`` still runs
-``close``, because it prints the round count.  Agreement with the round
-engine (confluence of the monotone automaton) and with
-``oracle.naive_close`` is enforced by differential tests, never assumed
-silently.
+first applies the degree rule; ``closure_contains_edge`` first answers a
+present target and applies the degree rule at the target's endpoints.
+``wsat percolate`` still runs ``close``, because it prints the round count.
+Agreement with the round engine (confluence of the monotone automaton) and
+with ``oracle.naive_close`` is enforced by differential tests, never
+assumed silently.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -84,13 +82,13 @@ class _PatternInfo:
 
     A plan anchors the search at an arc (a, b) of the pattern: a maps to
     the pair's lower vertex and b to its upper one.  Each edge-orbit
-    representative (a, b), in sorted order, gets the plan (a, b), then the
-    plan (b, a) unless some automorphism sigma of H swaps a and b.  With
-    such a sigma the reversed plan is never needed: it only runs after
-    (a, b) has failed, and a copy phi it finds, with b -> u and a -> v,
-    gives the copy phi o sigma with a -> u and b -> v, so (a, b) would not
-    have failed.  Patterns too large for the automorphism scan keep every
-    edge in both orientations.
+    representative (a, b), the least edge of its orbit, gets the plan
+    (a, b), then the plan (b, a) unless some automorphism sigma of H swaps
+    a and b; ``_arc_orbit_reps`` finds both with the anchored search of H
+    in itself, for every pattern size.  With such a sigma the reversed plan
+    is never needed: it only runs after (a, b) has failed, and a copy phi
+    it finds, with b -> u and a -> v, gives the copy phi o sigma with
+    a -> u and b -> v, so (a, b) would not have failed.
     """
 
     def __init__(self, h: Graph):
@@ -99,7 +97,7 @@ class _PatternInfo:
         self.is_clique = h.is_complete() and h.n >= 2
         self.delta = h.min_degree()
         self.connected = is_connected(h)
-        self.plans = [_SearchPlan(h, anchor) for anchor in _arc_orbit_reps(h)]
+        self.plans = _arc_orbit_reps(h)
 
 
 class _SearchPlan:
@@ -158,48 +156,37 @@ def pattern_info(h: Graph) -> _PatternInfo:
     return _pattern_info_by_rows(h.n, tuple(h.rows))
 
 
-def _arc_orbit_reps(h: Graph) -> list[tuple[int, int]]:
-    """The anchors of the search plans: for each edge-orbit representative
-    (a, b) under Aut(h), in sorted order, the arc (a, b), then (b, a) unless
-    some automorphism swaps a and b.  Patterns too large for the
-    brute-force group scan get every edge in both orientations."""
-    edges = list(h.edges())
-    if h.n > 8:
-        return [arc for a, b in edges for arc in ((a, b), (b, a))]
-    edge_set = set(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-    swapped = [False] * len(edges)
+def _arc_orbit_reps(h: Graph) -> list[_SearchPlan]:
+    """One search plan per arc orbit of h under Aut(h), anchored at its
+    representative.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Plan (c, d) maps onto the arc (a, b) iff some automorphism takes c to
+    a and d to b, and that holds iff the anchored search finds h in itself
+    with c -> a and d -> b: an injective map that keeps the edges of h maps
+    its edge set onto itself.  The edges are walked in sorted order; an
+    edge (a, b) that a plan kept so far maps onto is skipped, any other
+    keeps the plan (a, b), then (b, a) unless plan (a, b) maps onto (b, a).
+    Automorphisms keep each vertex's degree and its neighbours' sorted
+    degrees, so arcs whose ends differ in that signature skip the search.
+    """
+    full = (1 << h.n) - 1
+    sig = [sorted(h.degree(y) for y in bits(row)) for row in h.rows]
 
-    for perm in itertools.permutations(range(h.n)):
-        mapped = []
-        for u, v in edges:
-            e = canon_edge(perm[u], perm[v])
-            if e not in edge_set:
-                mapped = None
-                break
-            mapped.append(e)
-        if mapped is None:
+    def maps_onto(plan: _SearchPlan, arc: tuple[int, int]) -> bool:
+        (c, d), (a, b) = plan.order[:2], arc
+        return (sig[c], sig[d]) == (sig[a], sig[b]) and (
+            _anchored_search(h, plan, arc, full) is not None
+        )
+
+    plans: list[_SearchPlan] = []
+    for a, b in h.edges():
+        if any(maps_onto(plan, (a, b)) for plan in plans):
             continue
-        for i, f in enumerate(mapped):
-            a, b = find(i), find(index[f])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-            u, v = edges[i]
-            swapped[i] |= perm[u] == v and perm[v] == u
-    anchors = []
-    for i in sorted({find(i) for i in range(len(edges))}):  # edges are sorted
-        a, b = edges[i]
-        anchors.append((a, b))
-        if not swapped[i]:
-            anchors.append((b, a))
-    return anchors
+        plan = _SearchPlan(h, (a, b))
+        plans.append(plan)
+        if not maps_onto(plan, (b, a)):
+            plans.append(_SearchPlan(h, (b, a)))
+    return plans
 
 
 # -- anchored embedding search ----------------------------------------------
@@ -494,7 +481,8 @@ def _closure_holds(
 
     The clique kernel (``_clique_kernel``) runs first when delta_H >= 1.
     It answers yes once a clique spans or its union U holds the target (or
-    is complete); for K_3 and K_4 U is the closure, so that settles them.
+    is complete); it spans at once for K_2, and for K_3 and K_4 U is the
+    closure, so that settles them.
     K_r, r >= 5, then closes U by the work queue (``_clique_close_seq``).
     Every other pattern runs the rounds of ``close`` (``_rounds``) from U,
     without keeping them, and re-runs the kernel after each round.
@@ -533,18 +521,16 @@ def percolates(g: Graph, h: Graph) -> bool:
     Every pattern first takes the degree rule: a vertex of degree below
     delta_H - 1 that misses an edge can never gain one (a completing copy
     would need delta_H - 1 present edges at it), which refutes percolation.
-    Past it, K_2 always percolates, and the K_3 closure turns each
-    component into a clique, so K_3 percolation is connectivity.  Every
-    other pattern takes the shared path of ``closure_contains_edge``
-    (``_closure_holds``): the clique kernel, then the work queue for K_r,
-    r >= 5, or the rounds of ``close`` for the rest.
+    Past it, every pattern takes the shared path of
+    ``closure_contains_edge`` (``_closure_holds``): the clique kernel, which
+    spans at once for K_2 and gives the components for K_3 and the closure
+    for K_4, then the work queue for K_r, r >= 5, or the rounds of
+    ``close`` for the rest.
     """
     info = pattern_info(h)
     need = min(info.delta - 1, g.n - 1)
     if min(map(int.bit_count, g.rows)) < need:
         return False
-    if info.is_clique and info.n <= 3:
-        return info.n == 2 or is_connected(g)
     return _closure_holds(g, info, None)
 
 

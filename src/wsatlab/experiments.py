@@ -353,7 +353,8 @@ def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[fl
     """p = (alpha/n)^(1/lambda), h = round(beta log n) clamped to >= 1.
 
     The admissibility constraints on (alpha, beta) are reported, not
-    enforced.
+    enforced; their upper bound (v_H - 2) log alpha is None at alpha = 0,
+    where no (alpha, beta) satisfies them.
     """
     assert stats.lam is not None
     report: dict = {}
@@ -362,8 +363,8 @@ def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[fl
         h = max(1, round(cfg.beta * math.log(cfg.n)))
         lo = math.log(2)
         mid = 1.0 / (float(stats.lam) * cfg.beta)
-        hi = (stats.v_h - 2) * math.log(cfg.alpha) if cfg.alpha > 0 else float("-inf")
-        report["constraints_satisfied"] = lo < mid < hi
+        hi = (stats.v_h - 2) * math.log(cfg.alpha) if cfg.alpha > 0 else None
+        report["constraints_satisfied"] = hi is not None and lo < mid < hi
         report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
                                        "vh2_log_alpha": hi}
     else:
@@ -375,7 +376,11 @@ def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[fl
 
 def ladder_base_experiment(cfg: TrialConfig) -> dict:
     """Frequency with which the fixed pair (0,1) is the base of an induced
-    ladder, plus the empirical mean count against its exact expectation."""
+    ladder, plus the empirical mean count against its exact expectation.
+
+    With alpha set, ``gamma`` = 1 - 1/(alpha^(v_H - 2) - 1), or None where
+    alpha^(v_H - 2) <= 1 leaves it undefined.
+    """
     if cfg.n < 1:
         raise ValueError("n >= 1 required")
     if cfg.trials < 1:
@@ -410,7 +415,7 @@ def ladder_base_experiment(cfg: TrialConfig) -> dict:
     }
     if cfg.alpha is not None:
         denom = cfg.alpha ** (stats.v_h - 2) - 1
-        out["gamma"] = 1.0 - 1.0 / denom if denom > 0 else float("nan")
+        out["gamma"] = 1.0 - 1.0 / denom if denom > 0 else None
     out.update(report)
     return out
 

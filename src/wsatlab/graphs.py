@@ -94,9 +94,6 @@ class Graph:
                 yield (u, v)
                 r &= r - 1
 
-    def neighbors(self, u: int) -> list[int]:
-        return bits(self.rows[u])
-
     def non_edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in range(u + 1, self.n):

@@ -204,6 +204,23 @@ def test_usage_errors(capsys, path4_file):
     assert exc.value.code == 2
 
 
+def test_ladder_exp_json_is_strict(capsys):
+    """Values undefined for 0 <= alpha <= 1 are null, not NaN or Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for alpha in ("0", "0.5", "1"):
+        code, out, _ = run(capsys, "ladder-exp", "--n", "5", "--pattern", "K4",
+                           "--alpha", alpha, "--beta", "0.3", "--trials", "3",
+                           "--no-timing")
+        assert code == 0
+        r = json.loads(out, parse_constant=reject)["result"]
+        assert r["gamma"] is None
+        assert r["constraints_satisfied"] is False
+        assert (r["constraint_values"]["vh2_log_alpha"] is None) == (alpha == "0")
+
+
 def test_json_determinism(capsys, path4_file):
     args = ["witness", "--input", path4_file, "--pattern", "K3",
             "--target", "0 2", "--no-timing"]

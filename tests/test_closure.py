@@ -48,17 +48,23 @@ def test_find_completion_none():
 # -- the anchored search against its reference ------------------------------
 
 
+def automorphisms(h: Graph) -> list[tuple[int, ...]]:
+    """Aut(h) by brute force over every vertex permutation."""
+    edges = list(h.edges())
+    return [
+        perm
+        for perm in itertools.permutations(range(h.n))
+        if all(h.has_edge(perm[u], perm[v]) for u, v in edges)
+    ]
+
+
 def reference_plans(h: Graph) -> list[tuple[tuple[int, int], list[int]]]:
     """The search plans without their cuts: every edge-orbit representative
     of h under Aut(h) (every edge when v_H > 8), sorted, in both
     orientations, each with its vertex order (anchor first, then most
     placed neighbours, then least id)."""
     edges = list(h.edges())
-    autos = [
-        perm
-        for perm in itertools.permutations(range(h.n))
-        if all(h.has_edge(perm[u], perm[v]) for u, v in edges)
-    ] if h.n <= 8 else [range(h.n)]
+    autos = automorphisms(h) if h.n <= 8 else [range(h.n)]
     reps = sorted(
         {min(canon_edge(perm[u], perm[v]) for perm in autos) for u, v in edges}
     )
@@ -106,24 +112,57 @@ def reference_completion(g: Graph, pair, h: Graph, plans) -> Embedding | None:
     return None
 
 
+def reference_anchors(h: Graph) -> list[tuple[int, int]]:
+    """The plan anchors by brute force over Aut(h): the least edge (a, b)
+    of each edge orbit, sorted, then (b, a) unless an automorphism swaps
+    a and b."""
+    autos = automorphisms(h)
+    anchors, seen = [], set()
+    for a, b in h.edges():
+        if (a, b) in seen:
+            continue
+        orbit = {(perm[a], perm[b]) for perm in autos}
+        seen |= {canon_edge(*arc) for arc in orbit}
+        anchors.append((a, b))
+        if (b, a) not in orbit:
+            anchors.append((b, a))
+    return anchors
+
+
+def anchors(h: Graph) -> list[tuple[int, int]]:
+    return [tuple(plan.order[:2]) for plan in closure.pattern_info(h).plans]
+
+
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 def test_search_plans_one_per_arc_orbit():
-    def anchors(h):
-        return [tuple(plan.order[:2]) for plan in closure.pattern_info(h).plans]
-
-    for r in range(3, 7):
+    for r in (3, 4, 5, 6, 9, 12):
         assert anchors(make_clique(r)) == [(0, 1)]
     assert len(anchors(make_complete_bipartite(3, 3))) == 1
+    assert anchors(make_complete_bipartite(5, 5)) == [(0, 5)]
     assert anchors(make_double_barbell(4)) == [(0, 1), (0, 2), (2, 0), (0, 4), (2, 3)]
+    assert anchors(make_double_barbell(5)) == [(0, 1), (0, 2), (2, 0), (0, 5), (2, 3)]
     # no automorphism of the paw swaps the ends of its pendant edge 23
     assert anchors(PAW) == [(0, 1), (0, 2), (2, 0), (2, 3), (3, 2)]
-    # past 8 vertices there is no automorphism scan: every edge, both ways
-    dd5 = make_double_barbell(5)
-    assert len(anchors(dd5)) == 2 * dd5.edge_count
     # K_4: position 3 (vertex 3) is a twin of position 2 (vertex 2)
     assert closure.pattern_info(make_clique(4)).plans[0].twin_floor == [-1, -1, -1, 2]
+
+
+def test_search_plans_match_brute_force_all_graphs():
+    for n in range(2, 6):
+        for h in enumerate_labeled_graphs(n):
+            assert anchors(h) == reference_anchors(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.floats(0.1, 0.9), st.integers(0, 2**32), st.randoms())
+def test_search_plans_match_brute_force_relabelled(n, p, seed, rnd):
+    h = sample_gnp(n, p, seed)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    for pattern in (h, relabel(h, perm)):
+        assert anchors(pattern) == reference_anchors(pattern)
 
 
 @pytest.mark.parametrize("name", ["K3", "K4", "C4", "paw", "diamond", "K1,3", "P4", "K2,3"])
@@ -145,26 +184,30 @@ def test_find_completion_matches_reference_all_graphs(name):
 
 
 def test_find_completion_matches_reference_random():
-    """K_5, K_{3,3} and DD_4 on 200 seeded G(n, p), 8 <= n <= 16, every
-    non-edge; some DD_4 copies come from the reversed plan (2, 0), which
-    no automorphism makes redundant."""
-    patterns = [make_clique(5), make_complete_bipartite(3, 3), make_double_barbell(4)]
+    """Every non-edge of seeded G(n, p): K_5, K_{3,3} and DD_4 on 200
+    graphs with 8 <= n <= 16, then DD_5 and K_{5,5} on five fixed hosts
+    with 10 <= n <= 12.  Their reference runs every edge in both
+    orientations (44 and 50 plans against 5 and 1) and takes up to 0.3 s
+    per miss, hence so few hosts.  Some DD_4 and DD_5 copies come from the
+    reversed plan (2, 0), which no automorphism makes redundant."""
+    patterns = [make_clique(5), make_complete_bipartite(3, 3), make_double_barbell(4),
+                make_double_barbell(5), make_complete_bipartite(5, 5)]
     plans = [reference_plans(h) for h in patterns]
     rng = random.Random(909)
-    found = [0, 0, 0]
-    reversed_dd4 = 0
-    for t in range(200):
-        k = t % 3
+    draws = [(t % 3, rng.randint(8, 16), rng.uniform(0.3, 0.7), 9900 + t) for t in range(200)]
+    draws += [(3, 10, 0.7, 9), (3, 11, 0.7, 353), (3, 11, 0.6, 98), (4, 12, 0.8, 4), (4, 10, 0.7, 5)]
+    found = [0] * len(patterns)
+    reversed_copies = [0] * len(patterns)
+    for k, n, p, seed in draws:
         h = patterns[k]
-        n = rng.randint(8, 16)
-        g = sample_gnp(n, rng.uniform(0.3, 0.7), 9900 + t)
+        g = sample_gnp(n, p, seed)
         for pair in g.non_edges():
             emb = find_completion(g, pair, h)
             assert emb == reference_completion(g, pair, h, plans[k])
             if emb is not None:
                 found[k] += 1
-                reversed_dd4 += k == 2 and emb.anchor == (0, 2) and emb.mapping[2] == pair[0]
-    assert min(found) > 0 and reversed_dd4 > 0
+                reversed_copies[k] += emb.anchor == (0, 2) and emb.mapping[2] == pair[0]
+    assert min(found) > 0 and reversed_copies[2] > 0 and reversed_copies[3] > 0
 
 
 def test_close_records_certified_rounds():
