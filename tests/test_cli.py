@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,61 @@ def test_json_determinism(capsys, path4_file):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# -- golden output --------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+
+# Input files, written to the working directory before the commands run.
+GOLDEN_FILES = {
+    "graph.el": "8\n0 1\n0 2\n1 2\n1 3\n2 3\n3 4\n4 5\n3 5\n5 6\n6 7\n4 6\n0 7\n",
+    "k4.g6": "C~\n",
+}
+
+# README's command list, then one run of each remaining path: a non-clique
+# close, a graph6 pattern file, ladder count, JSON curves and K_{3,3}.
+GOLDEN_COMMANDS = [
+    "analyze --pattern K5",
+    "percolate --input graph.el --pattern K4",
+    "close --input graph.el --pattern K3 --trace trace.json",
+    "witness --input graph.el --pattern K3 --target '0 3' --rea",
+    "ladder build --pattern K5 --height 3",
+    "ladder verify --pattern K5 --height 2",
+    "census --n 4 --pattern K4",
+    "curve --n 60 --pattern K4 --grid 0.02,0.04,0.08 --trials 200 --seed 1",
+    "pc-search --n 80 --pattern K3 --trials 200 --seed 7",
+    "ladder-exp --n 50 --pattern K4 --alpha 2 --beta 0.3 --trials 100 --seed 1",
+    "verify --suite appendix --vmax 5",
+    "close --input graph.el --pattern K2,3",
+    "witness --input graph.el --pattern k4.g6 --target '3 6' --rea",
+    "ladder count --pattern K4 --height 1 --host graph.el --base '0 3'",
+    "curve --n 16 --pattern DD4 --grid 0.3,0.5 --trials 10 --seed 2 --format json",
+    "pc-search --n 20 --pattern K3,3 --trials 10 --seed 3 --tol 0.3",
+]
+
+
+def cli_transcript() -> str:
+    """The exit code and ``--no-timing`` stdout of every golden command, run
+    in the current directory, plus the round trace that ``close`` writes.
+
+    To regenerate the golden file after a deliberate output change, run from
+    an empty directory:
+    ``python -c "import sys; sys.path[:0] = ['<repo>/src', '<repo>/tests'];
+    import test_cli; open('<repo>/tests/cli_golden.txt', 'w').write(test_cli.cli_transcript())"``
+    """
+    for name, text in GOLDEN_FILES.items():
+        Path(name).write_text(text)
+    out = []
+    for cmd in GOLDEN_COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(shlex.split(cmd) + ["--no-timing"])
+        out.append(f"$ wsat {cmd}\n{buf.getvalue()}[exit {code}]\n")
+    out.append(f"$ cat trace.json\n{Path('trace.json').read_text()}\n")
+    return "".join(out)
+
+
+def test_cli_output_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_transcript() == GOLDEN.read_text()
