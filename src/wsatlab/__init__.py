@@ -40,7 +40,6 @@ from .ladders import (
     LadderSpec,
     build_ladder,
     count_induced_ladders_at,
-    has_induced_ladder_at,
     ladder_closure_check,
     verify_ladder_lemma,
 )

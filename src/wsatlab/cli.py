@@ -62,26 +62,26 @@ def resolve_pattern(name_or_path: str) -> Graph:
     m = re.fullmatch(r"DD(\d+)", name_or_path)
     if m:
         return make_double_barbell(int(m.group(1)))
-    path = Path(name_or_path)
-    if not path.is_file():
+    if not Path(name_or_path).is_file():
         raise UsageError(f"unknown pattern name or unreadable file: {name_or_path}")
-    text = path.read_text()
-    if path.suffix == ".g6":
-        return parse_graph6(text)
-    try:
-        return parse_edge_list(text)
-    except ValueError:
-        return parse_graph6(text)
+    return load_graph(name_or_path)
 
 
 def load_graph(path: str) -> Graph:
+    """A graph file in edge-list or graph6 format."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"cannot read graph file: {path}")
     text = p.read_text()
-    if p.suffix == ".g6":
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    try:
+        return parse_edge_list(text)
+    except ValueError as exc:
+        try:
+            return parse_graph6(text)
+        except ValueError as exc6:
+            raise ValueError(
+                f"{path} is neither an edge list ({exc}) nor graph6 ({exc6})"
+            ) from None
 
 
 def frac_str(x: Fraction | None) -> str | None:

@@ -119,26 +119,22 @@ class _SearchPlan:
     def __init__(self, h: Graph, anchor: tuple[int, int]):
         self.anchor = canon_edge(*anchor)  # the pattern edge, for reporting
         a, b = anchor
+        rows = h.rows
         order = [a, b]
-        placed = {a, b}
-        rest = [x for x in range(h.n) if x not in placed]
+        pos = {a: 0, b: 1}
+        placed = 1 << a | 1 << b
+        # For each position: positions of already-placed neighbors.
+        self.placed_nbrs = [[], [0]]
+        rest = [x for x in range(h.n) if not placed >> x & 1]
         while rest:
             # most-constrained next: max placed neighbors, then min id
-            best = max(
-                rest,
-                key=lambda x: (len([y for y in placed if h.has_edge(x, y)]), -x),
-            )
+            best = max(rest, key=lambda x: ((rows[x] & placed).bit_count(), -x))
+            self.placed_nbrs.append(sorted(pos[y] for y in bits(rows[best] & placed)))
+            pos[best] = len(order)
             order.append(best)
-            placed.add(best)
+            placed |= 1 << best
             rest.remove(best)
         self.order = order
-        pos = {v: i for i, v in enumerate(order)}
-        # For each position >= 2: positions of already-placed neighbors.
-        self.placed_nbrs = [
-            [pos[y] for y in order[:i] if h.has_edge(x, y)]
-            for i, x in enumerate(order)
-        ]
-        rows = h.rows
         self.twin_floor = [-1] * len(order)
         for i, x in enumerate(order):
             for j in range(2, i):
@@ -206,7 +202,7 @@ def find_completion(g: Graph, pair: tuple[int, int], h: Graph) -> Embedding | No
     vector never has.  So the result is that of the search over every
     orbit representative in both orientations without either cut.
     """
-    u, v = canon_edge(*pair)
+    u, v = _host_pair(g, pair)
     if g.has_edge(u, v):
         raise ValueError(f"pair {pair} is already an edge")
     info = pattern_info(h)
@@ -221,6 +217,14 @@ def find_completion(g: Graph, pair: tuple[int, int], h: Graph) -> Embedding | No
                 mapping[x] = m[i]
             return Embedding(mapping=tuple(mapping), anchor=plan.anchor, pair=(u, v))
     return None
+
+
+def _host_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
+    """``pair`` as (u, v), u < v, after checking that both are vertices of g."""
+    u, v = canon_edge(*pair)
+    if u < 0 or v >= g.n:
+        raise ValueError(f"pair {pair} is not two vertices of 0..{g.n - 1}")
+    return u, v
 
 
 def _anchored_search(
@@ -412,13 +416,13 @@ def close(g: Graph, h: Graph) -> ClosureTrace:
     work = g.copy()
     rounds = [
         RoundRecord(t=t, added=added)
-        for t, added in enumerate(_rounds(work, h, pattern_info(h)), 1)
+        for t, added in enumerate(_rounds(work, pattern_info(h)), 1)
     ]
     return ClosureTrace(initial=g.copy(), rounds=rounds, final=work)
 
 
 def _rounds(
-    work: Graph, h: Graph, info: _PatternInfo
+    work: Graph, info: _PatternInfo
 ) -> Iterator[list[tuple[tuple[int, int], Embedding]]]:
     """The rounds of ``close``, run in place on ``work``.
 
@@ -426,9 +430,10 @@ def _rounds(
     before, then commits them all; the generator yields the certified edges
     of each committed round, with ``work`` already holding them.
     """
-    if h.n < 2:
+    if info.n < 2:
         raise ValueError("pattern needs at least 2 vertices")
-    candidates = sorted(work.non_edges())
+    h = info.graph
+    candidates = list(work.non_edges())
     while candidates:
         added: list[tuple[tuple[int, int], Embedding]] = []
         for pair in candidates:
@@ -455,7 +460,7 @@ def _next_candidates(
     re-scan.
     """
     if not info.connected:
-        return sorted(work.non_edges())
+        return list(work.non_edges())
     ball = 0
     for u, v in new_edges:
         ball |= 1 << u | 1 << v
@@ -509,7 +514,7 @@ def _closure_holds(
             _clique_close_seq(Graph.from_rows(g.n, rows), info.n).rows
         )
     work = Graph.from_rows(g.n, rows)
-    for _ in _rounds(work, info.graph, info):
+    for _ in _rounds(work, info):
         if holds(kernel(work)):
             return True
     return False
@@ -543,7 +548,7 @@ def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     then the work queue for K_r, r >= 5, or the rounds of ``close`` for
     other patterns, stopped once the target is present.
     """
-    u, v = target = canon_edge(*target)
+    u, v = target = _host_pair(g, target)
     if g.has_edge(u, v):
         return True
     info = pattern_info(h)

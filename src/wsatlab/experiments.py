@@ -22,7 +22,7 @@ import numpy as np
 
 from .closure import percolates
 from .graphs import Graph
-from .ladders import LadderSpec, count_induced_ladders_at
+from .ladders import LadderSpec, build_ladder, count_induced_ladders_at
 from .patterns import PatternStats, analyze
 
 _MASK64 = (1 << 64) - 1
@@ -90,21 +90,18 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     starts = v * (2 * n - v - 1) // 2       # index of pair (v, v + 1)
     total = n * (n - 1) // 2
     a = np.zeros((n, n), dtype=bool)
-    m = 0
     for off in range(0, total, _BLOCK):
         k = np.flatnonzero(rng.random(min(_BLOCK, total - off)) < p) + off
         i = np.searchsorted(starts, k, side="right") - 1
         j = k - starts[i] + i + 1
         a[i, j] = True
         a[j, i] = True
-        m += len(k)
     data = np.packbits(a, axis=1, bitorder="little").tobytes()
     w = (n + 7) // 8
     from_bytes = int.from_bytes
-    g = Graph(n)
-    g.rows = [from_bytes(data[x:x + w], "little") for x in range(0, n * w, w)]
-    g._m = m
-    return g
+    return Graph.from_rows(
+        n, [from_bytes(data[x:x + w], "little") for x in range(0, n * w, w)]
+    )
 
 
 # -- worker plumbing -----------------------------------------------------------
@@ -150,12 +147,34 @@ def _ladder_count_trial(args: tuple[int, float, int, Graph, int]) -> int:
     return count_induced_ladders_at(sample_gnp(n, p, seed), (0, 1), spec)
 
 
+def _check_sizes(n: int, trials: int) -> None:
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+
+
+def _count_percolating(
+    trial_map, n: int, p: float, pattern: Graph, trials: int, master_seed: int,
+    stream: int,
+) -> int:
+    """Trials of G(n, p) that percolate; trial t draws stream ``stream | t``."""
+    tasks = [
+        (n, p, mix_seed(master_seed, stream | t), pattern) for t in range(trials)
+    ]
+    return sum(trial_map(_percolation_trial, tasks))
+
+
 # -- percolation probability ----------------------------------------------------
 
+# The normal quantile of the 95% Wilson score interval.
+WILSON_Z = 1.96
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
         return (0.0, 1.0)
+    z = WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -182,19 +201,13 @@ def percolation_curve(
     master_seed: int,
     workers: int | None = None,
 ) -> list[CurvePoint]:
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _check_sizes(n, trials)
     w = worker_count(workers)
     points = []
     with _trial_map(w) as trial_map:
         for pi, p in enumerate(ps):
-            tasks = [
-                (n, p, mix_seed(master_seed, (pi << 32) | t), pattern)
-                for t in range(trials)
-            ]
-            succ = sum(trial_map(_percolation_trial, tasks))
+            succ = _count_percolating(trial_map, n, p, pattern, trials,
+                                      master_seed, pi << 32)
             lo, hi = wilson_interval(succ, trials)
             points.append(CurvePoint(n, p, trials, succ, succ / trials, lo, hi))
     return points
@@ -213,6 +226,9 @@ class PcEstimate:
     converged: bool
 
 
+MAX_PROBES = 48
+
+
 def bisect_pc(
     n: int,
     pattern: Graph,
@@ -220,15 +236,13 @@ def bisect_pc(
     tolerance: float,
     master_seed: int,
     workers: int | None = None,
-    max_probes: int = 48,
 ) -> PcEstimate:
     """Bisection for the median percolation point, exploiting monotonicity
     of the percolation event in p.  The initial bracket is grown by
-    doubling/halving from the n^(-1/lambda) theory marker."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    doubling/halving from the n^(-1/lambda) theory marker.  A search runs at
+    most ``MAX_PROBES`` (48) probes of ``trials`` trials each; one that
+    stops at the cap reports the midpoint of its bracket."""
+    _check_sizes(n, trials)
     if not tolerance >= 0:  # NaN included
         raise ValueError("tolerance >= 0 required")
     w = worker_count(workers)
@@ -241,12 +255,8 @@ def bisect_pc(
     with _trial_map(w) as trial_map:
 
         def probe(p: float) -> float:
-            idx = len(probes)
-            tasks = [
-                (n, p, mix_seed(master_seed, (idx << 40) | t), pattern)
-                for t in range(trials)
-            ]
-            succ = sum(trial_map(_percolation_trial, tasks))
+            succ = _count_percolating(trial_map, n, p, pattern, trials,
+                                      master_seed, len(probes) << 40)
             frac = succ / trials
             probes.append((p, succ, trials, frac))
             return frac
@@ -255,7 +265,7 @@ def bisect_pc(
         p = start
         if probe(p) >= 0.5:
             hi = p
-            while len(probes) < max_probes:
+            while len(probes) < MAX_PROBES:
                 p /= 2
                 if p < 1e-9:
                     # everything percolates down to negligible p
@@ -267,14 +277,14 @@ def bisect_pc(
                     break
         else:
             lo = p
-            while len(probes) < max_probes and p < 1.0:
+            while len(probes) < MAX_PROBES and p < 1.0:
                 p = min(1.0, p * 2)
                 if probe(p) >= 0.5:
                     hi = p
                     break
                 lo = p
 
-        while len(probes) < max_probes:
+        while len(probes) < MAX_PROBES:
             mid = (lo + hi) / 2
             if hi - lo < tolerance * mid:
                 break
@@ -313,8 +323,6 @@ def theory_markers(n: int, stats: PatternStats) -> dict[str, float]:
 def expected_ladder_count(n: int, p: float, spec: LadderSpec) -> float:
     """Exact expected number of labeled induced ladders at a fixed base,
     evaluated in log space."""
-    from .ladders import build_ladder
-
     ladder = build_ladder(spec)
     k = ladder.size
     if k > n - 2:
@@ -381,10 +389,7 @@ def ladder_base_experiment(cfg: TrialConfig) -> dict:
     With alpha set, ``gamma`` = 1 - 1/(alpha^(v_H - 2) - 1), or None where
     alpha^(v_H - 2) <= 1 leaves it undefined.
     """
-    if cfg.n < 1:
-        raise ValueError("n >= 1 required")
-    if cfg.trials < 1:
-        raise ValueError("trials >= 1 required")
+    _check_sizes(cfg.n, cfg.trials)
     if cfg.alpha is not None and not cfg.alpha >= 0:  # NaN included
         raise ValueError("alpha >= 0 required")
     if cfg.beta is not None and not cfg.beta > 0:  # NaN included

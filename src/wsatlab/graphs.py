@@ -2,8 +2,10 @@
 
 Adjacency is kept as one Python int per vertex (bit i of ``rows[u]`` set
 iff u~i), so neighborhood intersections are single word-parallel ``&``
-operations.  Graphs are treated as immutable by every module except the
-closure engine, which mutates only its private working copy.
+operations.  ``n`` and ``rows`` are a graph's only state: the edge count
+and completeness are read off the rows.  Graphs are treated as immutable by
+every module except the closure engine, which mutates only its private
+working copy.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ def canon_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    __slots__ = ("n", "rows", "_m")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         self.n = n
         self.rows = [0] * n
-        self._m = 0
 
     # -- construction ---------------------------------------------------
 
@@ -42,14 +43,10 @@ class Graph:
     def from_rows(cls, n: int, rows: list[int]) -> "Graph":
         g = cls(n)
         g.rows = list(rows)
-        g._m = sum(r.bit_count() for r in rows) // 2
         return g
 
     def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g.rows = list(self.rows)
-        g._m = self._m
-        return g
+        return Graph.from_rows(self.n, self.rows)
 
     def add_edge(self, u: int, v: int) -> None:
         u, v = canon_edge(u, v)
@@ -59,7 +56,6 @@ class Graph:
             raise ValueError(f"duplicate edge ({u},{v})")
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
-        self._m += 1
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """A copy of the graph with the edge uv removed."""
@@ -68,7 +64,6 @@ class Graph:
         g = self.copy()
         g.rows[u] &= ~(1 << v)
         g.rows[v] &= ~(1 << u)
-        g._m -= 1
         return g
 
     # -- queries ---------------------------------------------------------
@@ -78,7 +73,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
@@ -101,7 +96,7 @@ class Graph:
                     yield (u, v)
 
     def is_complete(self) -> bool:
-        return self._m == self.n * (self.n - 1) // 2
+        return self.edge_count == self.n * (self.n - 1) // 2
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -111,7 +106,7 @@ class Graph:
         )
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
 
 def bits(mask: int) -> list[int]:
@@ -124,17 +119,34 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitmask of a vertex set."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def edges_within(g: Graph, mask: int) -> int:
+    """Number of edges of g with both ends in the vertex bitmask ``mask``."""
+    rows = g.rows
+    twice = 0
+    m = mask
+    while m:
+        b = m & -m
+        twice += (rows[b.bit_length() - 1] & mask).bit_count()
+        m ^= b
+    return twice // 2
+
+
 # -- named patterns -------------------------------------------------------
 
 
 def make_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("n >= 1 required")
-    g = Graph(n)
     full = (1 << n) - 1
-    g.rows = [full ^ (1 << u) for u in range(n)]
-    g._m = n * (n - 1) // 2
-    return g
+    return Graph.from_rows(n, [full ^ (1 << u) for u in range(n)])
 
 
 def make_clique(r: int) -> Graph:

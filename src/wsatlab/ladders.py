@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closure import close
-from .graphs import Graph, canon_edge
+from .graphs import Graph, canon_edge, edges_within, vertex_mask
 from .patterns import PatternStats, Report
 
 Edge = tuple[int, int]
@@ -120,24 +120,14 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
     rep = Report(name="ladder-lemma")
     rep.details["mode"] = "strict" if strict else "degenerate"
 
-    step_masks = []
-    upper_masks = []
-    for vs, ups in zip(ladder.steps, ladder.step_uppers):
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        step_masks.append(m)
-        u = 0
-        for v in ups:
-            u |= 1 << v
-        upper_masks.append(u)
+    step_masks = [vertex_mask(vs) for vs in ladder.steps]
+    upper_masks = [vertex_mask(ups) for ups in ladder.step_uppers]
     prefix_unions = set()
     acc = 0
     for m in step_masks[:-1]:
         acc |= m
         prefix_unions.add(acc)
 
-    rows = g.rows
     base_mask = 0b11
     equalities: list[int] = []
     for mask in range(1 << n):
@@ -146,14 +136,7 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
         if not strict and (mask & base_mask) != base_mask:
             continue
         x = (mask & ~base_mask).bit_count()
-        edges = 0
-        m = mask
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            edges += (rows[w] & mask).bit_count()
-        edges //= 2
+        edges = edges_within(g, mask)
         rep.checked += 1
         if strict:
             sigma = sum(
@@ -186,7 +169,7 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
 
 
 def count_induced_ladders_at(
-    g: Graph, pair: tuple[int, int], spec: LadderSpec, early_exit: bool = False
+    g: Graph, pair: tuple[int, int], spec: LadderSpec
 ) -> int:
     """Number of labeled embeddings of the ladder into g with the base on
     ``pair`` whose image induces exactly the ladder's edges.
@@ -212,11 +195,11 @@ def count_induced_ladders_at(
     image = [u, v] + [-1] * (k2 - 2)
     count = 0
 
-    def extend(i: int, used: int) -> bool:
+    def extend(i: int, used: int) -> None:
         nonlocal count
         if i == k2:
             count += 1
-            return early_exit
+            return
         cand = full & ~used
         for j in range(i):
             if adj[i][j]:
@@ -227,16 +210,10 @@ def count_induced_ladders_at(
             b = cand & -cand
             image[i] = b.bit_length() - 1
             cand ^= b
-            if extend(i + 1, used | b):
-                return True
-        return False
+            extend(i + 1, used | b)
 
     extend(2, 1 << u | 1 << v)
     return count
-
-
-def has_induced_ladder_at(g: Graph, pair: tuple[int, int], spec: LadderSpec) -> bool:
-    return count_induced_ladders_at(g, pair, spec, early_exit=True) > 0
 
 
 # -- closure behaviour -------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, enumerate_labeled_graphs
+from .graphs import Graph, edges_within, enumerate_labeled_graphs, vertex_mask
 
 
 def _completes_somewhere(g: Graph, pair: tuple[int, int], h: Graph) -> bool:
@@ -17,15 +17,12 @@ def _completes_somewhere(g: Graph, pair: tuple[int, int], h: Graph) -> bool:
     if v_h > g.n:
         return False
     hedges = list(h.edges())
+    e_h = h.edge_count
     others = [w for w in range(g.n) if w != u and w != v]
     for rest in itertools.combinations(others, v_h - 2):
         verts = (u, v) + rest
-        mask = 0
-        for w in verts:
-            mask |= 1 << w
         # edges already present within the subset, plus the tested pair
-        present = sum((g.rows[w] & mask).bit_count() for w in verts) // 2 + 1
-        if present < h.edge_count:
+        if edges_within(g, vertex_mask(verts)) + 1 < e_h:
             continue
         for perm in itertools.permutations(verts):
             covers = False

@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Graph, bits, enumerate_labeled_graphs, is_connected
+from .graphs import (Graph, bits, edges_within, enumerate_labeled_graphs,
+                     is_connected, vertex_mask)
 
 MAX_PROFILE_VERTICES = 12
 
@@ -27,15 +28,10 @@ def densest_subgraph_profile(h: Graph) -> dict[int, int]:
         raise ValueError(f"pattern too large for subset scan (n={n})")
     profile: dict[int, int] = {}
     for v in range(2, n + 1):
-        best = 0
-        for subset in itertools.combinations(range(n), v):
-            mask = 0
-            for s in subset:
-                mask |= 1 << s
-            m = sum((h.rows[s] & mask).bit_count() for s in subset) // 2
-            if m > best:
-                best = m
-        profile[v] = best
+        profile[v] = max(
+            edges_within(h, vertex_mask(subset))
+            for subset in itertools.combinations(range(n), v)
+        )
     return profile
 
 

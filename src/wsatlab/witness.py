@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .closure import ClosureTrace, Embedding, close, closure_contains_edge
-from .graphs import Graph, bits, canon_edge
-from .patterns import PatternStats, Report
+from .graphs import Graph, bits, canon_edge, vertex_mask
+from .patterns import PatternStats, Report, analyze
 
 Edge = tuple[int, int]
 
@@ -102,16 +102,14 @@ def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex
                 f for f, pe in zip(copy, pattern_edges) if pe != emb.anchor
             )
             pending = tuple(sorted(f for f in support if not initial.has_edge(*f)))
-            vertices = edges = open_ = 0
-            for x in m:
-                vertices |= 1 << x
+            edges = open_ = 0
             for f in copy:
                 bit = 1 << ids.setdefault(f, len(ids))
                 edges |= bit
                 if not initial.has_edge(*f):
                     open_ |= bit
-            certs[e] = _Certificate(emb, copy, support, pending, vertices, edges,
-                                    open_, 1 << ids.setdefault(e, len(ids)))
+            certs[e] = _Certificate(emb, copy, support, pending, vertex_mask(m),
+                                    edges, open_, 1 << ids.setdefault(e, len(ids)))
     return _CertificateIndex(key, certs, ids, list(ids))
 
 
@@ -133,11 +131,9 @@ def _certificates(trace: ClosureTrace, h: Graph) -> _CertificateIndex:
 
 
 def close_with_witnesses(
-    g: Graph, h: Graph, stats: PatternStats | None = None
+    g: Graph, h: Graph
 ) -> tuple[ClosureTrace, dict[Edge, WitnessRecord]]:
-    from .patterns import analyze
-
-    stats = stats or analyze(h)
+    stats = analyze(h)
     trace = close(g, h)
     witnesses: dict[Edge, frozenset[Edge]] = {
         e: frozenset([e]) for e in g.edges()

@@ -35,6 +35,21 @@ def test_resolve_pattern_names(tmp_path):
     assert resolve_pattern(str(g6)) == make_clique(4)
 
 
+def test_input_reads_graph6_without_suffix(capsys, tmp_path):
+    """``--input`` reads either format, like ``--pattern``, whatever the
+    file's suffix; a file in neither format names both errors."""
+    k5 = tmp_path / "k5.txt"
+    k5.write_text("D~{\n")
+    for pattern in ("K3", str(k5)):
+        code, out, _ = run(capsys, "percolate", "--input", str(k5), "--pattern", pattern)
+        assert code == 0 and out == "yes 0\n"
+    bad = tmp_path / "bad.el"
+    bad.write_text("4\n0 9\n")
+    code, out, err = run(capsys, "percolate", "--input", str(bad), "--pattern", "K3")
+    assert code == 2 and out == ""
+    assert "vertex out of range" in err and "graph6" in err
+
+
 def test_analyze_json(capsys):
     code, out, _ = run(capsys, "analyze", "--pattern", "K5", "--no-timing")
     assert code == 0

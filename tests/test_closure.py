@@ -68,18 +68,20 @@ def reference_plans(h: Graph) -> list[tuple[tuple[int, int], list[int]]]:
     reps = sorted(
         {min(canon_edge(perm[u], perm[v]) for perm in autos) for u, v in edges}
     )
-    plans = []
-    for a, b in reps:
-        for x, y in ((a, b), (b, a)):
-            order = [x, y]
-            rest = [z for z in range(h.n) if z not in order]
-            while rest:
-                best = max(rest, key=lambda z: (
-                    sum(h.has_edge(z, w) for w in order), -z))
-                order.append(best)
-                rest.remove(best)
-            plans.append(((a, b), order))
-    return plans
+    return [((a, b), reference_order(h, x, y))
+            for a, b in reps for x, y in ((a, b), (b, a))]
+
+
+def reference_order(h: Graph, x: int, y: int) -> list[int]:
+    """The vertex order of a plan anchored at (x, y): the anchor first, then
+    the vertex with the most placed neighbours, then the least id."""
+    order = [x, y]
+    rest = [z for z in range(h.n) if z not in order]
+    while rest:
+        best = max(rest, key=lambda z: (sum(h.has_edge(z, w) for w in order), -z))
+        order.append(best)
+        rest.remove(best)
+    return order
 
 
 def reference_completion(g: Graph, pair, h: Graph, plans) -> Embedding | None:
@@ -147,6 +149,21 @@ def test_search_plans_one_per_arc_orbit():
     assert anchors(PAW) == [(0, 1), (0, 2), (2, 0), (2, 3), (3, 2)]
     # K_4: position 3 (vertex 3) is a twin of position 2 (vertex 2)
     assert closure.pattern_info(make_clique(4)).plans[0].twin_floor == [-1, -1, -1, 2]
+
+
+def test_search_plan_orders_follow_the_greedy_rule():
+    """Every plan of seeded patterns with 10 to 24 vertices, some of them
+    asymmetric: the order of the reference rule, and at each position the
+    positions of the earlier neighbours, ascending."""
+    for n, p, seed in [(10, 0.5, 1), (16, 0.5, 16), (20, 0.4, 3), (24, 0.5, 7), (24, 0.3, 8)]:
+        h = sample_gnp(n, p, seed)
+        for plan in closure.pattern_info(h).plans:
+            order = plan.order
+            assert order == reference_order(h, *order[:2])
+            assert plan.placed_nbrs == [
+                [j for j in range(i) if h.has_edge(x, order[j])]
+                for i, x in enumerate(order)
+            ]
 
 
 def test_search_plans_match_brute_force_all_graphs():
@@ -405,6 +422,18 @@ def test_disconnected_pattern_full_rescan():
     trace = close(g, h)
     assert trace.final == naive_close(g, h)
     assert trace.final.is_complete()
+
+
+def test_pairs_outside_the_host_are_refused():
+    """No Embedding onto a vertex the host lacks, and no IndexError."""
+    with pytest.raises(ValueError, match="not two vertices"):
+        find_completion(Graph(3), (0, 5), make_clique(2))
+    with pytest.raises(ValueError, match="not two vertices"):
+        find_completion(Graph(4), (0, 7), make_clique(3))
+    for r in (2, 3):
+        for pair in ((0, 9), (-1, 2)):
+            with pytest.raises(ValueError, match="not two vertices"):
+                closure_contains_edge(Graph(3), make_clique(r), pair)
 
 
 def test_closure_contains_edge_early_exit():

@@ -73,7 +73,6 @@ def reference_sample_gnp(n: int, p: float, seed: int) -> Graph:
     width = (n + 7) // 8
     g = Graph(n)
     g.rows = [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
-    g._m = int(np.count_nonzero(drawn))
     return g
 
 

@@ -7,7 +7,6 @@ from wsatlab.ladders import (
     LadderSpec,
     build_ladder,
     count_induced_ladders_at,
-    has_induced_ladder_at,
     ladder_closure_check,
     verify_ladder_lemma,
 )
@@ -132,8 +131,8 @@ def test_count_requires_absent_base():
     assert count_induced_ladders_at(g, (0, 1), spec) == 0
 
 
-def test_has_induced_ladder_at():
+def test_induced_ladder_found_only_at_its_base():
     spec = LadderSpec(pattern=make_clique(5), height=2)
     lad = build_ladder(spec)
-    assert has_induced_ladder_at(lad.graph, (0, 1), spec)
-    assert not has_induced_ladder_at(lad.graph, (0, 2), spec)
+    assert count_induced_ladders_at(lad.graph, (0, 1), spec) > 0
+    assert count_induced_ladders_at(lad.graph, (0, 2), spec) == 0
