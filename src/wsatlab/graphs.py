@@ -50,8 +50,8 @@ class Graph:
 
     def add_edge(self, u: int, v: int) -> None:
         u, v = canon_edge(u, v)
-        if v >= self.n:
-            raise ValueError(f"vertex {v} out of range (n={self.n})")
+        if u < 0 or v >= self.n:
+            raise ValueError(f"edge ({u},{v}) out of range (n={self.n})")
         if self.rows[u] >> v & 1:
             raise ValueError(f"duplicate edge ({u},{v})")
         self.rows[u] |= 1 << v

@@ -52,6 +52,9 @@ def test_add_edge_rejects_bad_input():
         g.add_edge(1, 1)
     with pytest.raises(ValueError):
         g.add_edge(0, 3)
+    with pytest.raises(ValueError):
+        g.add_edge(-1, 2)  # must not touch rows[-1] before failing
+    assert g.rows == [0, 0, 0]
     g.add_edge(0, 1)
     with pytest.raises(ValueError):
         g.add_edge(1, 0)
