@@ -4,7 +4,6 @@ from .graphs import (
     Graph,
     canon_edge,
     enumerate_labeled_graphs,
-    induced_subgraph,
     is_connected,
     make_clique,
     make_complete,
@@ -45,7 +44,6 @@ from .ladders import (
 )
 from .experiments import (
     PcEstimate,
-    TrialConfig,
     bisect_pc,
     expected_ladder_count,
     fit_exponent,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, bits, canon_edge, is_connected
+from .graphs import Graph, bits, canon_edge, host_pair, is_connected
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,8 @@ class Embedding:
 
     def copy_edges(self, pattern: Graph) -> list[tuple[int, int]]:
         """Host images of all pattern edges, the anchor image included."""
-        return [
-            canon_edge(self.mapping[a], self.mapping[b])
-            for a, b in pattern.edges()
-        ]
+        m = self.mapping
+        return [canon_edge(m[a], m[b]) for a, b in pattern.edges()]
 
 
 @dataclass
@@ -202,7 +200,7 @@ def find_completion(g: Graph, pair: tuple[int, int], h: Graph) -> Embedding | No
     vector never has.  So the result is that of the search over every
     orbit representative in both orientations without either cut.
     """
-    u, v = _host_pair(g, pair)
+    u, v = host_pair(g, pair)
     if g.has_edge(u, v):
         raise ValueError(f"pair {pair} is already an edge")
     info = pattern_info(h)
@@ -217,14 +215,6 @@ def find_completion(g: Graph, pair: tuple[int, int], h: Graph) -> Embedding | No
                 mapping[x] = m[i]
             return Embedding(mapping=tuple(mapping), anchor=plan.anchor, pair=(u, v))
     return None
-
-
-def _host_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
-    """``pair`` as (u, v), u < v, after checking that both are vertices of g."""
-    u, v = canon_edge(*pair)
-    if u < 0 or v >= g.n:
-        raise ValueError(f"pair {pair} is not two vertices of 0..{g.n - 1}")
-    return u, v
 
 
 def _anchored_search(
@@ -548,7 +538,7 @@ def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     then the work queue for K_r, r >= 5, or the rounds of ``close`` for
     other patterns, stopped once the target is present.
     """
-    u, v = target = _host_pair(g, target)
+    u, v = target = host_pair(g, target)
     if g.has_edge(u, v):
         return True
     info = pattern_info(h)

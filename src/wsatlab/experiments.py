@@ -4,9 +4,9 @@ exponent fits, and the induced-ladder frequency experiment.
 Reproducibility contract: randomness comes from numpy's counter-based
 Philox generator, keyed per trial as Philox(key=mix_seed(master_seed,
 stream_id)) where mix_seed is the splitmix64-based mixing function below.
-Identical (config, master seed) therefore give identical output regardless
-of worker count; WSAT_THREADS (or the ``workers`` argument) only partitions
-the work.
+Identical (parameters, master seed) therefore give identical output
+regardless of worker count; WSAT_THREADS (or the ``workers`` argument) only
+partitions the work.
 """
 
 from __future__ import annotations
@@ -115,11 +115,12 @@ def worker_count(workers: int | None = None) -> int:
 
 
 @contextmanager
-def _trial_map(workers: int):
+def _trial_map(workers: int | None):
     """Yields ``map(fn, items) -> list`` for one Monte Carlo call: in-process
-    at one worker, else on a single process pool that every probe of the
-    call reuses.  Results come back in task order, and the chunk size depends
-    on the task and worker counts only."""
+    at one worker (``worker_count(workers)``), else on a single process pool
+    that every probe of the call reuses.  Results come back in task order,
+    and the chunk size depends on the task and worker counts only."""
+    workers = worker_count(workers)
     if workers <= 1:
         yield lambda fn, items: [fn(x) for x in items]
         return
@@ -202,9 +203,8 @@ def percolation_curve(
     workers: int | None = None,
 ) -> list[CurvePoint]:
     _check_sizes(n, trials)
-    w = worker_count(workers)
     points = []
-    with _trial_map(w) as trial_map:
+    with _trial_map(workers) as trial_map:
         for pi, p in enumerate(ps):
             succ = _count_percolating(trial_map, n, p, pattern, trials,
                                       master_seed, pi << 32)
@@ -245,14 +245,13 @@ def bisect_pc(
     _check_sizes(n, trials)
     if not tolerance >= 0:  # NaN included
         raise ValueError("tolerance >= 0 required")
-    w = worker_count(workers)
     stats = analyze(pattern)
     if stats.lam is not None and stats.lam > 0:
         start = min(0.9, float(n) ** (-1.0 / float(stats.lam)))
     else:
         start = 0.5
     probes: list[tuple[float, int, int, float]] = []
-    with _trial_map(w) as trial_map:
+    with _trial_map(workers) as trial_map:
 
         def probe(p: float) -> float:
             succ = _count_percolating(trial_map, n, p, pattern, trials,
@@ -344,85 +343,72 @@ def expected_ladder_count(n: int, p: float, spec: LadderSpec) -> float:
     return math.exp(log_val)
 
 
-@dataclass
-class TrialConfig:
-    n: int
-    pattern: Graph
-    p: float | None
-    trials: int
-    master_seed: int
-    alpha: float | None = None
-    beta: float | None = None
-    height: int | None = None
-    workers: int | None = None
-
-
-def resolve_ladder_parameters(cfg: TrialConfig, stats: PatternStats) -> tuple[float, int, dict]:
-    """p = (alpha/n)^(1/lambda), h = round(beta log n) clamped to >= 1.
-
-    The admissibility constraints on (alpha, beta) are reported, not
-    enforced; their upper bound (v_H - 2) log alpha is None at alpha = 0,
-    where no (alpha, beta) satisfies them.
-    """
-    assert stats.lam is not None
-    report: dict = {}
-    if cfg.alpha is not None and cfg.beta is not None:
-        p = (cfg.alpha / cfg.n) ** (1.0 / float(stats.lam))
-        h = max(1, round(cfg.beta * math.log(cfg.n)))
-        lo = math.log(2)
-        mid = 1.0 / (float(stats.lam) * cfg.beta)
-        hi = (stats.v_h - 2) * math.log(cfg.alpha) if cfg.alpha > 0 else None
-        report["constraints_satisfied"] = hi is not None and lo < mid < hi
-        report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
-                                       "vh2_log_alpha": hi}
-    else:
-        if cfg.p is None or cfg.height is None:
-            raise ValueError("either (alpha, beta) or (p, height) must be set")
-        p, h = cfg.p, cfg.height
-    return p, h, report
-
-
-def ladder_base_experiment(cfg: TrialConfig) -> dict:
+def ladder_base_experiment(
+    n: int,
+    pattern: Graph,
+    trials: int,
+    master_seed: int,
+    *,
+    p: float | None = None,
+    height: int | None = None,
+    alpha: float | None = None,
+    beta: float | None = None,
+    workers: int | None = None,
+) -> dict:
     """Frequency with which the fixed pair (0,1) is the base of an induced
     ladder, plus the empirical mean count against its exact expectation.
 
-    With alpha set, ``gamma`` = 1 - 1/(alpha^(v_H - 2) - 1), or None where
-    alpha^(v_H - 2) <= 1 leaves it undefined.
+    Exactly one parameter pair must be given: (p, height), or (alpha, beta)
+    with p = (alpha/n)^(1/lambda) and height = round(beta log n) clamped to
+    >= 1.  With (alpha, beta) the result also holds ``gamma`` =
+    1 - 1/(alpha^(v_H - 2) - 1), or None where alpha^(v_H - 2) <= 1 leaves
+    it undefined, and the admissibility constraints on (alpha, beta),
+    reported, not enforced; their upper bound (v_H - 2) log alpha is None at
+    alpha = 0, where no (alpha, beta) satisfies them.
     """
-    _check_sizes(cfg.n, cfg.trials)
-    if cfg.alpha is not None and not cfg.alpha >= 0:  # NaN included
-        raise ValueError("alpha >= 0 required")
-    if cfg.beta is not None and not cfg.beta > 0:  # NaN included
-        raise ValueError("beta > 0 required")
-    stats = analyze(cfg.pattern)
-    p, height, report = resolve_ladder_parameters(cfg, stats)
-    w = worker_count(cfg.workers)
+    _check_sizes(n, trials)
+    given = (alpha is not None, beta is not None, p is not None, height is not None)
+    if given not in ((True, True, False, False), (False, False, True, True)):
+        raise ValueError("exactly one of (alpha, beta) or (p, height) must be set")
+    report: dict = {}
+    if alpha is not None:
+        if not alpha >= 0:  # NaN included
+            raise ValueError("alpha >= 0 required")
+        if not beta > 0:  # NaN included
+            raise ValueError("beta > 0 required")
+        stats = analyze(pattern)
+        assert stats.lam is not None
+        lam = float(stats.lam)
+        p = (alpha / n) ** (1.0 / lam)
+        height = max(1, round(beta * math.log(n)))
+        denom = alpha ** (stats.v_h - 2) - 1
+        report["gamma"] = 1.0 - 1.0 / denom if denom > 0 else None
+        lo = math.log(2)
+        mid = 1.0 / (lam * beta)
+        hi = (stats.v_h - 2) * math.log(alpha) if alpha > 0 else None
+        report["constraints_satisfied"] = hi is not None and lo < mid < hi
+        report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
+                                       "vh2_log_alpha": hi}
     tasks = [
-        (cfg.n, p, mix_seed(cfg.master_seed, t), cfg.pattern, height)
-        for t in range(cfg.trials)
+        (n, p, mix_seed(master_seed, t), pattern, height) for t in range(trials)
     ]
-    with _trial_map(w) as trial_map:
+    with _trial_map(workers) as trial_map:
         counts = trial_map(_ladder_count_trial, tasks)
     counts_arr = np.asarray(counts, dtype=float)
     mean = float(counts_arr.mean())
     se = float(counts_arr.std(ddof=1) / math.sqrt(len(counts_arr))) if len(counts_arr) > 1 else 0.0
-    spec = LadderSpec(pattern=cfg.pattern, height=height)
-    formula = expected_ladder_count(cfg.n, p, spec)
-    out = {
-        "n": cfg.n,
+    formula = expected_ladder_count(n, p, LadderSpec(pattern=pattern, height=height))
+    return {
+        "n": n,
         "p": p,
         "height": height,
-        "trials": cfg.trials,
+        "trials": trials,
         "base_frequency": float((counts_arr > 0).mean()),
         "mean_count": mean,
         "stderr_count": se,
         "formula_count": formula,
+        **report,
     }
-    if cfg.alpha is not None:
-        denom = cfg.alpha ** (stats.v_h - 2) - 1
-        out["gamma"] = 1.0 - 1.0 / denom if denom > 0 else None
-    out.update(report)
-    return out
 
 
 # -- exponent fit -------------------------------------------------------------------

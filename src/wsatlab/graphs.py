@@ -21,6 +21,14 @@ def canon_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def host_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
+    """``pair`` as (u, v), u < v, after checking that both are vertices of g."""
+    u, v = canon_edge(*pair)
+    if u < 0 or v >= g.n:
+        raise ValueError(f"pair {pair} is not two vertices of 0..{g.n - 1}")
+    return u, v
+
+
 class Graph:
     __slots__ = ("n", "rows")
 
@@ -194,24 +202,7 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
         yield g
 
 
-# -- subgraphs and connectivity -------------------------------------------
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph, vertices relabeled 0..|S|-1 in ascending order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("vertex set must be nonempty")
-    if vs[-1] >= g.n or vs[0] < 0:
-        raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    sub = Graph(len(vs))
-    for i, v in enumerate(vs):
-        for w in bits(g.rows[v]):
-            j = pos.get(w)
-            if j is not None and j > i:
-                sub.add_edge(i, j)
-    return sub
+# -- connectivity ---------------------------------------------------------
 
 
 def is_connected(g: Graph) -> bool:

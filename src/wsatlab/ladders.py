@@ -2,16 +2,17 @@
 
 A ladder of height h chains h copies of the pattern minus two non-incident
 rung edges, consecutive copies sharing a rung, topped by a single present
-rung.  It is an edge-minimal witness graph for its (absent) base pair.
+rung.  It is an edge-minimal witness graph for its (absent) base pair,
+which is (0, 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import close
-from .graphs import Graph, canon_edge, edges_within, vertex_mask
+from .graphs import Graph, canon_edge, edges_within, host_pair, vertex_mask
 from .patterns import PatternStats, Report
 
 Edge = tuple[int, int]
@@ -42,14 +43,12 @@ class LadderSpec:
 
 @dataclass
 class Ladder:
-    graph: Graph
-    base: Edge                       # (0, 1); a non-edge of graph
+    graph: Graph                     # base (0, 1) is a non-edge
     rungs: list[Edge]                # (u_i, v_i) for i = 0..h; only the top is an edge
     steps: list[frozenset[int]]      # vertex sets of the steps S_1..S_h
     step_uppers: list[frozenset[int]]  # V(S_i) minus its bottom rung vertices
     height: int
     size: int                        # (v_H - 2) * h
-    spec: LadderSpec = field(repr=False)
 
 
 def build_ladder(spec: LadderSpec) -> Ladder:
@@ -89,13 +88,11 @@ def build_ladder(spec: LadderSpec) -> Ladder:
         )
     return Ladder(
         graph=g,
-        base=(0, 1),
         rungs=rungs,
         steps=steps,
         step_uppers=uppers,
         height=height,
         size=size,
-        spec=spec,
     )
 
 
@@ -178,8 +175,9 @@ def count_induced_ladders_at(
     remaining vertices are counted as ordered tuples, matching the labeled
     enumeration behind the expected-count formula; in particular the base
     pair and all non-top rungs must be non-edges of g inside the image.
+    A pair that is not two vertices of g raises ValueError.
     """
-    u, v = canon_edge(*pair)
+    u, v = host_pair(g, pair)
     ladder = build_ladder(spec)
     lg = ladder.graph
     k2 = lg.n

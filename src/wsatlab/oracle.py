@@ -54,13 +54,12 @@ def naive_close(g: Graph, h: Graph) -> Graph:
 @dataclass
 class CensusResult:
     n: int
-    pattern: str
     total: int
     percolating: int
     by_edge_count: dict[int, tuple[int, int]]  # m -> (graphs, percolating)
 
 
-def percolation_census(n: int, h: Graph, pattern_name: str = "") -> CensusResult:
+def percolation_census(n: int, h: Graph) -> CensusResult:
     if n * (n - 1) // 2 > 20:
         raise ValueError("census limited to C(n,2) <= 20")
     total = 0
@@ -75,7 +74,6 @@ def percolation_census(n: int, h: Graph, pattern_name: str = "") -> CensusResult
             row[1] += 1
     return CensusResult(
         n=n,
-        pattern=pattern_name,
         total=total,
         percolating=perc,
         by_edge_count={m: (a, b) for m, (a, b) in sorted(by_m.items())},

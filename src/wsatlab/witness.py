@@ -96,8 +96,7 @@ def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex
     certs: dict[Edge, _Certificate] = {}
     for rnd in trace.rounds:
         for e, emb in rnd.added:
-            m = emb.mapping
-            copy = tuple(canon_edge(m[a], m[b]) for a, b in pattern_edges)
+            copy = tuple(emb.copy_edges(h))
             support = frozenset(
                 f for f, pe in zip(copy, pattern_edges) if pe != emb.anchor
             )
@@ -108,8 +107,9 @@ def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex
                 edges |= bit
                 if not initial.has_edge(*f):
                     open_ |= bit
-            certs[e] = _Certificate(emb, copy, support, pending, vertex_mask(m),
-                                    edges, open_, 1 << ids.setdefault(e, len(ids)))
+            certs[e] = _Certificate(emb, copy, support, pending,
+                                    vertex_mask(emb.mapping), edges, open_,
+                                    1 << ids.setdefault(e, len(ids)))
     return _CertificateIndex(key, certs, ids, list(ids))
 
 
@@ -229,7 +229,6 @@ def rea_replay(
     next_cid = 0
     placed = 0                          # bitmask of placed edge ids
     red_mask = 0
-    red_edges: list[Edge] = []
 
     for j, red in enumerate(schedule, start=1):
         cert = certs[red]
@@ -280,7 +279,6 @@ def rea_replay(
 
         placed |= cert.edges
         red_mask |= cert.bit
-        red_edges.append(red)
         steps.append(
             REAStep(
                 j=j,
@@ -302,7 +300,7 @@ def rea_replay(
     return REATrace(
         target=target,
         steps=steps,
-        red_edges=red_edges,
+        red_edges=schedule,
         witness_edges=witnesses[target].edges,
     )
 

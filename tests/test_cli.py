@@ -207,6 +207,12 @@ def test_usage_errors(capsys, path4_file):
         code, out, err = run(capsys, "ladder-exp", "--n", "5", "--pattern", "K4",
                              "--alpha", alpha, "--beta", beta, "--trials", "3")
         assert code == 2 and out == "" and message in err
+    for mixed in (["--alpha", "2", "--p", "0.1", "--height", "1"],
+                  ["--alpha", "2", "--beta", "0.3", "--p", "0.5", "--height", "7"],
+                  ["--beta", "0.3", "--p", "0.1", "--height", "1"]):
+        code, out, err = run(capsys, "ladder-exp", "--n", "30", "--pattern", "K4",
+                             "--trials", "3", *mixed)
+        assert code == 2 and out == "" and "exactly one of" in err
     for n in ("0", "-4"):
         code, out, err = run(capsys, "pc-search", "--n", n, "--pattern", "K4",
                              "--trials", "5")

@@ -25,6 +25,7 @@ from wsatlab.graphs import (
 )
 from wsatlab.oracle import naive_close
 from wsatlab.experiments import sample_gnp
+from wsatlab.ladders import LadderSpec, count_induced_ladders_at
 from wsatlab.patterns import relabel
 
 
@@ -434,6 +435,14 @@ def test_pairs_outside_the_host_are_refused():
         for pair in ((0, 9), (-1, 2)):
             with pytest.raises(ValueError, match="not two vertices"):
                 closure_contains_edge(Graph(3), make_clique(r), pair)
+
+
+def test_ladder_counts_refuse_pairs_outside_the_host():
+    g = sample_gnp(20, 0.4, 1)
+    spec = LadderSpec(pattern=make_clique(4), height=1)
+    for pair in ((0, 99), (19, 20), (-1, 2)):
+        with pytest.raises(ValueError, match="not two vertices of 0..19"):
+            count_induced_ladders_at(g, pair, spec)
 
 
 def test_closure_contains_edge_early_exit():

@@ -16,7 +16,6 @@ from wsatlab.graphs import Graph, make_clique, serialize_graph6
 from wsatlab.ladders import LadderSpec
 from wsatlab.patterns import analyze
 from wsatlab.experiments import (
-    TrialConfig,
     bisect_pc,
     expected_ladder_count,
     fit_exponent,
@@ -224,8 +223,7 @@ def test_monte_carlo_refuses_bad_sizes_up_front():
         with pytest.raises(ValueError, match="n >= 1"):
             percolation_curve(n, k4, [0.5], 5, 1)
         with pytest.raises(ValueError, match="n >= 1"):
-            ladder_base_experiment(TrialConfig(n=n, pattern=k4, p=None, trials=5,
-                                               master_seed=1, alpha=2.0, beta=0.3))
+            ladder_base_experiment(n, k4, 5, 1, alpha=2.0, beta=0.3)
     for tol in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="tolerance >= 0"):
             bisect_pc(10, k4, trials=5, tolerance=tol, master_seed=1)
@@ -254,10 +252,7 @@ def test_bisect_pc_deterministic_across_workers():
 
 
 def test_ladder_base_experiment_small():
-    cfg = TrialConfig(
-        n=20, pattern=make_clique(4), p=0.25, trials=60, master_seed=23, height=1
-    )
-    out = ladder_base_experiment(cfg)
+    out = ladder_base_experiment(20, make_clique(4), 60, 23, p=0.25, height=1)
     assert out["trials"] == 60
     assert 0.0 <= out["base_frequency"] <= 1.0
     assert out["formula_count"] == pytest.approx(
@@ -269,14 +264,28 @@ def test_ladder_base_experiment_small():
 
 
 def test_ladder_experiment_alpha_beta_parameters():
-    cfg = TrialConfig(
-        n=50, pattern=make_clique(4), p=None, trials=10, master_seed=1,
-        alpha=2.0, beta=0.3,
-    )
-    out = ladder_base_experiment(cfg)
+    out = ladder_base_experiment(50, make_clique(4), 10, 1, alpha=2.0, beta=0.3)
     assert out["p"] == pytest.approx((2.0 / 50) ** 0.5)
     assert out["height"] == max(1, round(0.3 * math.log(50)))
     assert "gamma" in out and out["gamma"] == pytest.approx(1 - 1 / (2.0**2 - 1))
+
+
+def test_ladder_experiment_takes_exactly_one_parameter_pair():
+    k4 = make_clique(4)
+    for params in (
+        {},
+        {"alpha": 2.0},
+        {"beta": 0.3},
+        {"p": 0.1},
+        {"height": 1},
+        {"alpha": 2.0, "p": 0.1, "height": 1},
+        {"alpha": 2.0, "beta": 0.3, "p": 0.5, "height": 7},
+        {"beta": 0.3, "p": 0.1, "height": 1},
+        {"alpha": 2.0, "height": 1},
+        {"beta": 0.3, "p": 0.1},
+    ):
+        with pytest.raises(ValueError, match="exactly one of"):
+            ladder_base_experiment(30, k4, 3, 1, **params)
 
 
 def test_one_pool_per_monte_carlo_call(monkeypatch):

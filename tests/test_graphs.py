@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from wsatlab.graphs import (
     Graph,
     canon_edge,
-    induced_subgraph,
     is_connected,
     make_clique,
     make_complete_bipartite,
@@ -76,13 +75,6 @@ def test_named_patterns():
     assert dd.edge_count == 2 * 6 + 2
     assert dd.has_edge(0, 4) and dd.has_edge(1, 5) and not dd.has_edge(2, 6)
     assert dd.min_degree() == 3
-
-
-def test_induced_subgraph_relabels():
-    g = Graph.from_edges(5, [(0, 3), (3, 4), (1, 4)])
-    sub = induced_subgraph(g, [0, 3, 4])
-    assert sub.n == 3
-    assert sorted(sub.edges()) == [(0, 1), (1, 2)]
 
 
 def test_is_connected():
