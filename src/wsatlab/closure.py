@@ -25,6 +25,15 @@ present target and applies the degree rule at the target's endpoints.
 Agreement with the round engine (confluence of the monotone automaton) and
 with ``oracle.naive_close`` is enforced by differential tests, never
 assumed silently.
+
+The rounds test each candidate pair with ``find_completion``, the anchored
+search for a copy of H that the pair completes.  It runs one plan per arc
+orbit of H (``_SearchPlan``), and ``pattern_info`` compiles each plan once
+into Python functions of nested ``while`` loops, one loop per pattern
+vertex past the anchor, over bitmask candidates.  CPython 3.10 to 3.12
+allow at most 20 nested loops in a function, so a plan of more than 22
+vertices is split into functions of at most 20 loops each, the innermost
+loop of one calling the next.
 """
 
 from __future__ import annotations
@@ -98,9 +107,14 @@ class _PatternInfo:
         self.plans = _arc_orbit_reps(h)
 
 
+# CPython 3.10 to 3.12 refuse a function with more than 20 statically
+# nested blocks, so a compiled search nests at most this many loops.
+_MAX_LOOPS = 20
+
+
 class _SearchPlan:
     """Static vertex order, placed-neighbour lists and twin floors for one
-    anchored search.
+    anchored search, and the search compiled from them.
 
     The anchor's ends take positions 0 and 1; each further position takes
     the vertex with the most placed neighbours, then the least id.
@@ -112,6 +126,16 @@ class _SearchPlan:
     order: swapping two non-anchor twins is an automorphism of H that
     fixes the anchor, so a copy with a twin pair in descending order gives
     one that is smaller at the earlier position.
+
+    ``search(rows, u, v, full)`` runs the plan on the host with adjacency
+    rows ``rows`` and vertex mask ``full``, with the anchor on (u, v), and
+    returns that vector, position by position, or None.  It is generated
+    from the plan's integers alone (``_search_source``): one ``while``
+    loop per position i >= 2, nested in order, over the candidate mask
+    ``rows[x_j] & ... & ~used`` for the positions j of the placed
+    neighbours, cut by ``& -(2 << x_t)`` at the twin floor t, lowest
+    candidate first.  The loops are split into functions of at most
+    ``_MAX_LOOPS`` levels, the innermost loop of one calling the next.
     """
 
     def __init__(self, h: Graph, anchor: tuple[int, int]):
@@ -139,6 +163,57 @@ class _SearchPlan:
                 y = order[j]
                 if rows[x] & ~(1 << y) == rows[y] & ~(1 << x):
                     self.twin_floor[i] = j
+        source = _search_source(self.placed_nbrs, self.twin_floor)
+        namespace: dict = {}
+        exec(compile(source, f"<search plan {a}->{b}>", "exec"), namespace)
+        self.search = namespace["_p2"]
+
+
+def _search_source(placed_nbrs: list[list[int]], twin_floor: list[int]) -> str:
+    """Python source of the nested-loop search of a plan (see
+    ``_SearchPlan``).  ``_p2(rows, x0, x1, full)`` maps positions 2 to 21;
+    each further function ``_p<s>(rows, full, u<s-1>, x0, ..., x<s-1>)``
+    takes the next ``_MAX_LOOPS`` positions from s on.  ``x<i>`` is the
+    image of position i, ``u<i>`` the mask of the images up to i and
+    ``c<i>`` the candidates left at i."""
+    k = len(placed_nbrs)
+    xs = [f"x{i}" for i in range(k)]
+    lines = []
+    for s in range(2, k, _MAX_LOOPS) or [2]:
+        e = min(s + _MAX_LOOPS, k)
+        if s == 2:
+            lines.append("def _p2(rows, x0, x1, full):")
+            if k > 2:
+                lines.append("    u1 = 1 << x0 | 1 << x1")
+        else:
+            lines.append(f"def _p{s}(rows, full, u{s - 1}, {', '.join(xs[:s])}):")
+        pad = "    "
+        for i in range(s, e):
+            terms = [f"rows[x{j}]" for j in placed_nbrs[i]] or ["full"]
+            terms.append(f"~u{i - 1}")
+            if twin_floor[i] >= 0:
+                terms.append(f"-(2 << x{twin_floor[i]})")
+            lines += [
+                f"{pad}c{i} = {' & '.join(terms)}",
+                f"{pad}while c{i}:",
+                f"{pad}    b{i} = c{i} & -c{i}",
+                f"{pad}    x{i} = b{i}.bit_length() - 1",
+                f"{pad}    c{i} ^= b{i}",
+            ]
+            pad += "    "
+            if i < k - 1:
+                lines.append(f"{pad}u{i} = u{i - 1} | b{i}")
+        if e == k:
+            lines.append(f"{pad}return [{', '.join(xs)}]")
+        else:
+            lines += [
+                f"{pad}m = _p{e}(rows, full, u{e - 1}, {', '.join(xs[:e])})",
+                f"{pad}if m:",
+                f"{pad}    return m",
+            ]
+        if e > s:
+            lines.append("    return None")
+    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=256)
@@ -169,7 +244,7 @@ def _arc_orbit_reps(h: Graph) -> list[_SearchPlan]:
     def maps_onto(plan: _SearchPlan, arc: tuple[int, int]) -> bool:
         (c, d), (a, b) = plan.order[:2], arc
         return (sig[c], sig[d]) == (sig[a], sig[b]) and (
-            _anchored_search(h, plan, arc, full) is not None
+            plan.search(h.rows, a, b, full) is not None
         )
 
     plans: list[_SearchPlan] = []
@@ -208,45 +283,13 @@ def find_completion(g: Graph, pair: tuple[int, int], h: Graph) -> Embedding | No
         return None
     full = (1 << g.n) - 1
     for plan in info.plans:
-        m = _anchored_search(g, plan, (u, v), full)
+        m = plan.search(g.rows, u, v, full)
         if m is not None:
             mapping = [0] * info.n
             for i, x in enumerate(plan.order):
                 mapping[x] = m[i]
             return Embedding(mapping=tuple(mapping), anchor=plan.anchor, pair=(u, v))
     return None
-
-
-def _anchored_search(
-    g: Graph, plan: _SearchPlan, pair: tuple[int, int], full: int
-) -> list[int] | None:
-    order = plan.order
-    k = len(order)
-    image = [pair[0], pair[1]] + [-1] * (k - 2)
-    used = 1 << pair[0] | 1 << pair[1]
-    rows = g.rows
-    twin_floor = plan.twin_floor
-
-    def extend(i: int, used: int) -> bool:
-        if i == k:
-            return True
-        cand = full
-        for j in plan.placed_nbrs[i]:
-            cand &= rows[image[j]]
-        cand &= ~used
-        if twin_floor[i] >= 0:
-            # only above the image of the earlier twin
-            cand &= -(2 << image[twin_floor[i]])
-        while cand:
-            b = cand & -cand
-            w = b.bit_length() - 1
-            cand ^= b
-            image[i] = w
-            if extend(i + 1, used | b):
-                return True
-        return False
-
-    return image if extend(2, used) else None
 
 
 # -- clique fast path --------------------------------------------------------

@@ -57,9 +57,7 @@ class Graph:
         return Graph.from_rows(self.n, self.rows)
 
     def add_edge(self, u: int, v: int) -> None:
-        u, v = canon_edge(u, v)
-        if u < 0 or v >= self.n:
-            raise ValueError(f"edge ({u},{v}) out of range (n={self.n})")
+        u, v = host_pair(self, (u, v))
         if self.rows[u] >> v & 1:
             raise ValueError(f"duplicate edge ({u},{v})")
         self.rows[u] |= 1 << v

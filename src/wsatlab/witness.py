@@ -154,10 +154,14 @@ def _make_record(target: Edge, edges: frozenset[Edge], stats: PatternStats) -> W
     m = len(edges)
     ell_lambda = None
     ell_star = None
-    if stats.lam is not None and k >= 3:
-        ell_lambda = m - (stats.lam * (k - 2) + 1)
-    if stats.lambda_star is not None and k >= stats.v_h:
-        ell_star = m - (stats.lambda_star * (k - stats.v_h) + stats.e_h - 1)
+    # one Fraction each, from integer numerators over the exponent's denominator
+    lam, star = stats.lam, stats.lambda_star
+    if lam is not None and k >= 3:
+        q = lam.denominator
+        ell_lambda = Fraction((m - 1) * q - lam.numerator * (k - 2), q)
+    if star is not None and k >= stats.v_h:
+        q = star.denominator
+        ell_star = Fraction((m - stats.e_h + 1) * q - star.numerator * (k - stats.v_h), q)
     return WitnessRecord(
         target=target,
         edges=edges,

@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import itertools
 import random
 
@@ -226,6 +228,116 @@ def test_find_completion_matches_reference_random():
                 found[k] += 1
                 reversed_copies[k] += emb.anchor == (0, 2) and emb.mapping[2] == pair[0]
     assert min(found) > 0 and reversed_copies[2] > 0 and reversed_copies[3] > 0
+
+
+# -- the compiled plans --------------------------------------------------------
+
+# Seeded patterns whose plans nest 20 loops in one function (22 vertices),
+# and 21 and 22 loops split over two (23 and 24 vertices).
+CHUNK_EDGE_PATTERNS = [(22, 0.4, 11), (23, 0.4, 12), (24, 0.4, 7)]
+
+
+def test_find_completion_matches_reference_at_the_chunk_edge():
+    """Hosts that hold a copy of H minus the edge e, relabelled onto three
+    more vertices with random edges at them: the pair of e completes a
+    copy, and with a second copy edge gone neither pair may.  Random hosts
+    of the same density hold no copy; random hosts of density 0.9 hold
+    many, so the deep levels meet used vertices as candidates.  Every
+    answer is the reference's over every edge of H in both orientations,
+    and every copy found is injective and completed by its pair."""
+
+    def check(g, pair):
+        emb = find_completion(g, pair, h)
+        assert emb == reference_completion(g, pair, h, plans)
+        if emb is not None:
+            assert len(set(emb.mapping)) == h.n
+            assert all(e == pair or g.has_edge(*e) for e in emb.copy_edges(h))
+        return emb
+
+    for n, p, seed in CHUNK_EDGE_PATTERNS:
+        h = sample_gnp(n, p, seed)
+        plans = reference_plans(h)
+        rnd = random.Random(seed)
+        edges = list(h.edges())
+        for _ in range(2):
+            perm = rnd.sample(range(n + 3), n + 3)
+            g = Graph.from_edges(n + 3, [canon_edge(perm[a], perm[b]) for a, b in edges])
+            for x in perm[n:]:
+                for y in range(n + 3):
+                    if x != y and not g.has_edge(x, y) and rnd.random() < p:
+                        g.add_edge(x, y)
+            e, f = [canon_edge(perm[a], perm[b]) for a, b in rnd.sample(edges, 2)]
+            g = g.without_edge(*e)
+            assert check(g, e) is not None
+            g = g.without_edge(*f)
+            for pair in [e, f] + rnd.sample(list(g.non_edges()), 3):
+                check(g, pair)
+        g = sample_gnp(n + 3, p, seed)
+        for pair in rnd.sample(list(g.non_edges()), 3):
+            check(g, pair)
+        g = sample_gnp(n + 3, 0.9, seed)
+        for pair in rnd.sample(list(g.non_edges()), 3):
+            assert check(g, pair) is not None
+
+
+def loop_depth(node: ast.AST) -> int:
+    """The deepest nesting of loops in ``node``'s subtree."""
+    inner = max((loop_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return inner + isinstance(node, (ast.While, ast.For))
+
+
+def test_compiled_plans_nest_at_most_20_loops():
+    """One loop per position past the anchor, split into functions of at
+    most 20 nested loops (CPython 3.10 to 3.12 refuse a 21st block): the
+    seeded patterns at the chunk edge, and K_45, whose plan takes three
+    functions and still finds K_45 minus an edge."""
+    k45 = make_clique(45)
+    patterns = [sample_gnp(n, p, seed) for n, p, seed in CHUNK_EDGE_PATTERNS] + [k45]
+    for h in patterns:
+        # the split depends on v_H alone, so two plans of each pattern do
+        for plan in closure.pattern_info(h).plans[:2]:
+            tree = ast.parse(closure._search_source(plan.placed_nbrs, plan.twin_floor))
+            assert all(isinstance(fn, ast.FunctionDef) for fn in tree.body)
+            assert len(tree.body) == max(1, -(-(h.n - 2) // 20))
+            assert max(loop_depth(fn) for fn in tree.body) <= 20
+            assert sum(isinstance(node, ast.While) for node in ast.walk(tree)) == h.n - 2
+    g = k45.without_edge(3, 40)
+    assert find_completion(g, (3, 40), k45) == Embedding(
+        mapping=(3, 40, *(x for x in range(45) if x not in (3, 40))), anchor=(0, 1), pair=(3, 40)
+    )
+
+
+def test_compiled_plans_take_the_least_unused_vertices_on_a_complete_host():
+    """In K_m every injective map is a copy, so every plan of the seeded
+    patterns at the chunk edge maps position i >= 2 to the least vertex
+    that no earlier position took, across the split too."""
+    for n, p, seed in CHUNK_EDGE_PATTERNS:
+        m = n + 3
+        rows = make_clique(m).rows
+        u, v = 7, 3
+        least = [u, v] + [x for x in range(m) if x not in (u, v)][: n - 2]
+        for plan in closure.pattern_info(sample_gnp(n, p, seed)).plans:
+            assert plan.search(rows, u, v, (1 << m) - 1) == least
+
+
+def test_search_plans_of_seeded_patterns_are_pinned():
+    """The anchors, orders and twin floors of every plan of seeded patterns
+    with 10 to 24 vertices, digested as they were before the plans were
+    compiled."""
+    pinned = {
+        (10, 0.5, 1): (54, "4b87588df389f1d5934d0b7ad3a14d07744a2bc965319094a60e3c848a843a02"),
+        (16, 0.5, 16): (132, "554dbdbb0af46bcecc42db179e8dbed00312cca1ea9fb71c20d79c237d0f1239"),
+        (20, 0.4, 3): (134, "bcb27fc36db4e360d811339a816bd7ba5868de34a5a19abebd39f2f7427c92bd"),
+        (22, 0.4, 11): (176, "2193bb831f80e18cd551f0d779f0b17fe80e238ba29e0ce2a8fcdb123ee71775"),
+        (23, 0.4, 12): (214, "1027886778a10f70ae3abaf809480e22c934064748d9cb04e39a1d9b14e4aaed"),
+        (24, 0.4, 7): (244, "b1efb0b815942dbb1319397f3b4868adcc8c12b17016a860e463cc52ee376741"),
+        (24, 0.5, 7): (284, "12b6e2921157aac4572f87d24bb9595204ca3bb39576f43ab36bf5ccad260511"),
+        (24, 0.3, 8): (148, "9c8adbb9324c473fa75ea32b9f79b577c8818cef7d6d29d553fdadb7002bebc9"),
+    }
+    for (n, p, seed), (count, digest) in pinned.items():
+        plans = closure.pattern_info(sample_gnp(n, p, seed)).plans
+        text = repr([(plan.order, plan.twin_floor) for plan in plans])
+        assert (len(plans), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 def test_close_records_certified_rounds():

@@ -49,9 +49,9 @@ def test_add_edge_rejects_bad_input():
     g = Graph(3)
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pair \(0, 3\) is not two vertices of 0..2"):
         g.add_edge(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not two vertices"):
         g.add_edge(-1, 2)  # must not touch rows[-1] before failing
     assert g.rows == [0, 0, 0]
     g.add_edge(0, 1)
