@@ -2,6 +2,7 @@
 
 from .graphs import (
     Graph,
+    InputError,
     canon_edge,
     enumerate_labeled_graphs,
     is_connected,

@@ -1,10 +1,12 @@
 """Command-line entry point wiring all modules.
 
 Exit codes: 0 success, 1 verification violation (a failed red-edge replay
-included), 2 usage error.  JSON goes to stdout (CSV for curve data);
-diagnostics to stderr.  Every JSON output carries a manifest sufficient to
-reproduce the run bit-for-bit; pass --no-timing to omit the wall-clock
-field when comparing outputs.
+included), 2 usage error (an ``InputError``, or a file that cannot be read
+or written), 3 internal error, any other exception, whose traceback goes to
+stderr.  JSON goes to stdout (CSV for curve data); diagnostics to stderr.
+Every JSON output carries a manifest sufficient to reproduce the run
+bit-for-bit; pass --no-timing to omit the wall-clock field when comparing
+outputs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import re
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from .closure import close
 from .experiments import bisect_pc, ladder_base_experiment, percolation_curve
 from .graphs import (
     Graph,
+    InputError,
     make_clique,
     make_complete_bipartite,
     make_double_barbell,
@@ -41,10 +45,6 @@ from .patterns import analyze, verify_appendix_lemmas
 from .witness import ReplayError, close_with_witnesses, rea_replay
 
 
-class UsageError(Exception):
-    pass
-
-
 def resolve_pattern(name_or_path: str) -> Graph:
     """K<r>, K<r>,<s>, DD<r>, or a readable edge-list / graph6 file."""
     m = re.fullmatch(r"K(\d+)", name_or_path)
@@ -57,7 +57,7 @@ def resolve_pattern(name_or_path: str) -> Graph:
     if m:
         return make_double_barbell(int(m.group(1)))
     if not Path(name_or_path).is_file():
-        raise UsageError(f"unknown pattern name or unreadable file: {name_or_path}")
+        raise InputError(f"unknown pattern name or unreadable file: {name_or_path}")
     return load_graph(name_or_path)
 
 
@@ -65,15 +65,18 @@ def load_graph(path: str) -> Graph:
     """A graph file in edge-list or graph6 format."""
     p = Path(path)
     if not p.is_file():
-        raise UsageError(f"cannot read graph file: {path}")
-    text = p.read_text()
+        raise InputError(f"cannot read graph file: {path}")
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not text: {exc}") from None
     try:
         return parse_edge_list(text)
-    except ValueError as exc:
+    except InputError as exc:
         try:
             return parse_graph6(text)
-        except ValueError as exc6:
-            raise ValueError(
+        except InputError as exc6:
+            raise InputError(
                 f"{path} is neither an edge list ({exc}) nor graph6 ({exc6})"
             ) from None
 
@@ -84,12 +87,12 @@ def frac_str(x: Fraction | None) -> str | None:
 
 def parse_pair(text: str, n: int) -> tuple[int, int]:
     """A pair "u v" of distinct vertices of an n-vertex graph, as (min, max)."""
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise UsageError(f"expected 'u v', got {text!r}")
-    u, v = int(parts[0]), int(parts[1])
+    try:
+        u, v = (int(x) for x in text.replace(",", " ").split())
+    except ValueError:
+        raise InputError(f"expected 'u v', got {text!r}") from None
     if u == v or not (0 <= u < n and 0 <= v < n):
-        raise UsageError(f"pair {text!r} is not two distinct vertices of 0..{n - 1}")
+        raise InputError(f"pair {text!r} is not two distinct vertices of 0..{n - 1}")
     return (u, v) if u < v else (v, u)
 
 
@@ -237,7 +240,7 @@ def cmd_ladder(args, started) -> int:
         return 0 if rep.ok and crep.ok else 1
     # the count action: argparse admits no other
     if not args.host or not args.base:
-        raise UsageError("ladder count needs --host and --base")
+        raise InputError("ladder count needs --host and --base")
     g = load_graph(args.host)
     base = parse_pair(args.base, g.n)
     count = count_induced_ladders_at(g, base, spec)
@@ -264,7 +267,10 @@ def cmd_census(args, started) -> int:
 
 def cmd_curve(args, started) -> int:
     h = resolve_pattern(args.pattern)
-    ps = [float(x) for x in args.grid.split(",") if x.strip()]
+    try:
+        ps = [float(x) for x in args.grid.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"--grid is not a list of numbers: {args.grid!r}") from None
     points = percolation_curve(args.n, h, ps, args.trials, args.seed,
                                workers=args.workers)
     if args.format == "json":
@@ -428,15 +434,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args, started)
-    except UsageError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReplayError as exc:
         print(f"error: red-edge replay failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .graphs import Graph, bits, canon_edge, host_pair, is_connected
+from .graphs import Graph, InputError, bits, canon_edge, host_pair, is_connected
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,14 @@ class Embedding:
     anchor: tuple[int, int]           # pattern edge mapped onto the pair
     pair: tuple[int, int]             # host pair (u < v)
 
-    def copy_edges(self, pattern: Graph) -> list[tuple[int, int]]:
-        """Host images of all pattern edges, the anchor image included."""
+    def copy_edges(
+        self, pattern_edges: Iterable[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """Host images of ``pattern_edges``, in their order; given all edges
+        of the pattern, the anchor image is among them.  A caller that
+        copies many embeddings lists the pattern's edges once."""
         m = self.mapping
-        return [canon_edge(m[a], m[b]) for a, b in pattern.edges()]
+        return [canon_edge(m[a], m[b]) for a, b in pattern_edges]
 
 
 @dataclass
@@ -464,7 +468,7 @@ def _rounds(
     of each committed round, with ``work`` already holding them.
     """
     if info.n < 2:
-        raise ValueError("pattern needs at least 2 vertices")
+        raise InputError("pattern needs at least 2 vertices")
     h = info.graph
     candidates = list(work.non_edges())
     while candidates:

@@ -7,22 +7,29 @@ stream_id)) where mix_seed is the splitmix64-based mixing function below.
 Identical (parameters, master seed) therefore give identical output
 regardless of worker count; WSAT_THREADS (or the ``workers`` argument) only
 partitions the work.
+
+Importing this module imports neither numpy nor the process-pool stack, so
+commands that never draw start without them.  numpy is imported by the
+first draw (``sample_gnp``) and by the functions that compute with arrays
+(``ladder_base_experiment``, ``fit_exponent``).  The pool branch of
+``_trial_map`` imports ``concurrent.futures``' process pool, and loads
+numpy, but not numpy.random, in the parent before it starts the pool, so
+that the forked workers inherit numpy instead of each importing it; only
+the workers draw, and numpy.random would add several MB to the parent.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .closure import percolates
-from .graphs import Graph
-from .ladders import LadderSpec, build_ladder, count_induced_ladders_at
+from .graphs import Graph, InputError
+from .ladders import Ladder, LadderSpec, build_ladder, count_induced_ladders_at
 from .patterns import PatternStats, analyze
 
 _MASK64 = (1 << 64) - 1
@@ -49,14 +56,17 @@ _BLOCK = 1 << 16
 _thread = threading.local()
 
 
-def _philox_stream(seed: int) -> np.random.Generator:
-    """This thread's Generator(Philox), set to the start of the stream of
-    Philox(key=seed): counter 0, key [seed mod 2^64, 0], empty buffer.
+def _philox_stream(seed: int):
+    """This thread's numpy Generator(Philox), set to the start of the
+    stream of Philox(key=seed): counter 0, key [seed mod 2^64, 0], empty
+    buffer.
 
     Building Philox(key=...) per draw would gather OS entropy for a
     SeedSequence that is then thrown away.  The generator is made on first
-    use, so importing this module does not import numpy.random.
+    use, so only a process that draws imports numpy.random.
     """
+    import numpy as np
+
     rng = getattr(_thread, "rng", None)
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.Philox(0))
@@ -82,9 +92,11 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     keyed by ``seed`` is below p.  A draw needs O(n^2) bytes of scratch.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0,1]")
+        raise InputError("p must be in [0,1]")
     if n < 1:
-        raise ValueError("n >= 1 required")
+        raise InputError("n >= 1 required")
+    import numpy as np
+
     rng = _philox_stream(seed)
     v = np.arange(n)
     starts = v * (2 * n - v - 1) // 2       # index of pair (v, v + 1)
@@ -111,7 +123,12 @@ def worker_count(workers: int | None = None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("WSAT_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise InputError(f"WSAT_THREADS must be an integer, got {env!r}") from None
 
 
 @contextmanager
@@ -124,6 +141,11 @@ def _trial_map(workers: int | None):
     if workers <= 1:
         yield lambda fn, items: [fn(x) for x in items]
         return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit numpy from here rather than each importing it;
+    # numpy.random stays out of the parent, which never draws.
+    importlib.import_module("numpy")
     with ProcessPoolExecutor(max_workers=workers) as ex:
 
         def pool_map(fn, items: list) -> list:
@@ -142,17 +164,16 @@ def _percolation_trial(args: tuple[int, float, int, Graph]) -> bool:
     return percolates(sample_gnp(n, p, seed), h)
 
 
-def _ladder_count_trial(args: tuple[int, float, int, Graph, int]) -> int:
-    n, p, seed, h, height = args
-    spec = LadderSpec(pattern=h, height=height)
-    return count_induced_ladders_at(sample_gnp(n, p, seed), (0, 1), spec)
+def _ladder_count_trial(args: tuple[int, float, int, Ladder]) -> int:
+    n, p, seed, ladder = args
+    return count_induced_ladders_at(sample_gnp(n, p, seed), (0, 1), ladder)
 
 
 def _check_sizes(n: int, trials: int) -> None:
     if n < 1:
-        raise ValueError("n >= 1 required")
+        raise InputError("n >= 1 required")
     if trials < 1:
-        raise ValueError("trials >= 1 required")
+        raise InputError("trials >= 1 required")
 
 
 def _count_percolating(
@@ -244,7 +265,7 @@ def bisect_pc(
     stops at the cap reports the midpoint of its bracket."""
     _check_sizes(n, trials)
     if not tolerance >= 0:  # NaN included
-        raise ValueError("tolerance >= 0 required")
+        raise InputError("tolerance >= 0 required")
     stats = analyze(pattern)
     if stats.lam is not None and stats.lam > 0:
         start = min(0.9, float(n) ** (-1.0 / float(stats.lam)))
@@ -309,7 +330,7 @@ def theory_markers(n: int, stats: PatternStats) -> dict[str, float]:
     """Unit-constant marker values: n^(-1/lambda) and the general lower-bound
     order n^(-1/lambda*) (log n)^(1/lambda*-1)."""
     if stats.lam is None or stats.lam <= 0:
-        raise ValueError("lambda undefined for this pattern")
+        raise InputError("lambda undefined for this pattern")
     assert stats.lambda_star is not None
     inv_l = 1.0 / float(stats.lam)
     inv_ls = 1.0 / float(stats.lambda_star)
@@ -319,13 +340,14 @@ def theory_markers(n: int, stats: PatternStats) -> dict[str, float]:
     }
 
 
-def expected_ladder_count(n: int, p: float, spec: LadderSpec) -> float:
+def expected_ladder_count(n: int, p: float, ladder: Ladder | LadderSpec) -> float:
     """Exact expected number of labeled induced ladders at a fixed base,
-    evaluated in log space."""
-    ladder = build_ladder(spec)
+    evaluated in log space; a spec is built into its ladder first."""
+    if isinstance(ladder, LadderSpec):
+        ladder = build_ladder(ladder)
     k = ladder.size
     if k > n - 2:
-        raise ValueError("ladder does not fit in the host")
+        raise InputError("ladder does not fit in the host")
     e_ladder = ladder.graph.edge_count           # lambda*k + 1
     non_edges = (k + 2) * (k + 1) // 2 - e_ladder
     if p <= 0.0:
@@ -369,13 +391,13 @@ def ladder_base_experiment(
     _check_sizes(n, trials)
     given = (alpha is not None, beta is not None, p is not None, height is not None)
     if given not in ((True, True, False, False), (False, False, True, True)):
-        raise ValueError("exactly one of (alpha, beta) or (p, height) must be set")
+        raise InputError("exactly one of (alpha, beta) or (p, height) must be set")
     report: dict = {}
     if alpha is not None:
         if not alpha >= 0:  # NaN included
-            raise ValueError("alpha >= 0 required")
+            raise InputError("alpha >= 0 required")
         if not beta > 0:  # NaN included
-            raise ValueError("beta > 0 required")
+            raise InputError("beta > 0 required")
         stats = analyze(pattern)
         assert stats.lam is not None
         lam = float(stats.lam)
@@ -389,15 +411,16 @@ def ladder_base_experiment(
         report["constraints_satisfied"] = hi is not None and lo < mid < hi
         report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
                                        "vh2_log_alpha": hi}
-    tasks = [
-        (n, p, mix_seed(master_seed, t), pattern, height) for t in range(trials)
-    ]
+    ladder = build_ladder(LadderSpec(pattern=pattern, height=height))
+    formula = expected_ladder_count(n, p, ladder)
+    tasks = [(n, p, mix_seed(master_seed, t), ladder) for t in range(trials)]
     with _trial_map(workers) as trial_map:
         counts = trial_map(_ladder_count_trial, tasks)
+    import numpy as np
+
     counts_arr = np.asarray(counts, dtype=float)
     mean = float(counts_arr.mean())
     se = float(counts_arr.std(ddof=1) / math.sqrt(len(counts_arr))) if len(counts_arr) > 1 else 0.0
-    formula = expected_ladder_count(n, p, LadderSpec(pattern=pattern, height=height))
     return {
         "n": n,
         "p": p,
@@ -417,11 +440,13 @@ def ladder_base_experiment(
 def fit_exponent(estimates: list[tuple[int, float]]) -> tuple[float, float]:
     """Least-squares slope of log p_hat against log n, with standard error."""
     if len(estimates) < 3:
-        raise ValueError("need at least 3 points")
+        raise InputError("need at least 3 points")
+    import numpy as np
+
     xs = np.log([float(n) for n, _ in estimates])
     ys = np.log([float(p) for _, p in estimates])
     if np.allclose(xs, xs[0]):
-        raise ValueError("degenerate fit: all n equal")
+        raise InputError("degenerate fit: all n equal")
     a = np.vstack([xs, np.ones_like(xs)]).T
     coef, residuals, *_ = np.linalg.lstsq(a, ys, rcond=None)
     slope = float(coef[0])

@@ -14,10 +14,17 @@ import itertools
 from typing import Iterable, Iterator
 
 
+class InputError(ValueError):
+    """An argument or input file that the library refuses: a bad vertex
+    pair, size, probability or parameter, or a malformed graph.  ``wsat``
+    exits 2 on it; a plain ValueError from the library is an internal
+    failure."""
+
+
 def canon_edge(u: int, v: int) -> tuple[int, int]:
     """Canonical unordered pair (u < v)."""
     if u == v:
-        raise ValueError(f"self-loop ({u},{v})")
+        raise InputError(f"self-loop ({u},{v})")
     return (u, v) if u < v else (v, u)
 
 
@@ -25,7 +32,7 @@ def host_pair(g: Graph, pair: tuple[int, int]) -> tuple[int, int]:
     """``pair`` as (u, v), u < v, after checking that both are vertices of g."""
     u, v = canon_edge(*pair)
     if u < 0 or v >= g.n:
-        raise ValueError(f"pair {pair} is not two vertices of 0..{g.n - 1}")
+        raise InputError(f"pair {pair} is not two vertices of 0..{g.n - 1}")
     return u, v
 
 
@@ -34,7 +41,7 @@ class Graph:
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise InputError("graph needs at least one vertex")
         self.n = n
         self.rows = [0] * n
 
@@ -150,20 +157,20 @@ def edges_within(g: Graph, mask: int) -> int:
 
 def make_complete(n: int) -> Graph:
     if n < 1:
-        raise ValueError("n >= 1 required")
+        raise InputError("n >= 1 required")
     full = (1 << n) - 1
     return Graph.from_rows(n, [full ^ (1 << u) for u in range(n)])
 
 
 def make_clique(r: int) -> Graph:
     if r < 2:
-        raise ValueError("clique needs r >= 2")
+        raise InputError("clique needs r >= 2")
     return make_complete(r)
 
 
 def make_complete_bipartite(r: int, s: int) -> Graph:
     if r < 1 or s < 1:
-        raise ValueError("both parts must be nonempty")
+        raise InputError("both parts must be nonempty")
     g = Graph(r + s)
     for u in range(r):
         for v in range(r, r + s):
@@ -174,7 +181,7 @@ def make_complete_bipartite(r: int, s: int) -> Graph:
 def make_double_barbell(r: int) -> Graph:
     """Two copies of K_r joined by a pair of vertex-disjoint edges."""
     if r < 4:
-        raise ValueError("double barbell needs r >= 4")
+        raise InputError("double barbell needs r >= 4")
     g = Graph(2 * r)
     for a in range(r):
         for b in range(a + 1, r):
@@ -189,7 +196,7 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order."""
     pairs = list(itertools.combinations(range(n), 2))
     if len(pairs) > 24:
-        raise ValueError("too many labeled graphs to enumerate")
+        raise InputError("too many labeled graphs to enumerate")
     for mask in range(1 << len(pairs)):
         g = Graph(n)
         m = mask
@@ -227,22 +234,24 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
-        raise ValueError("empty edge-list input")
+        raise InputError("empty edge-list input")
     try:
         n = int(lines[0])
     except ValueError as exc:
-        raise ValueError(f"bad vertex count line: {lines[0]!r}") from exc
+        raise InputError(f"bad vertex count line: {lines[0]!r}") from exc
     if n > MAX_TEXT_N:
-        raise ValueError(f"vertex count {n} above {MAX_TEXT_N}")
+        raise InputError(f"vertex count {n} above {MAX_TEXT_N}")
     g = Graph(n)
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = (int(x) for x in ln.split())
+        except ValueError:
+            raise InputError(f"bad edge line: {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex out of range in line {ln!r}")
-        g.add_edge(u, v)  # raises on self-loop and duplicate
+            raise InputError(f"vertex out of range in line {ln!r}")
+        if g.has_edge(u, v):
+            raise InputError(f"duplicate edge in line {ln!r}")
+        g.add_edge(u, v)  # raises on a self-loop
     return g
 
 
@@ -262,27 +271,27 @@ def _g6_encode_n(n: int) -> str:
         return chr(n + 63)
     if n <= MAX_TEXT_N:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise ValueError(f"graph6 encoding limited to n <= {MAX_TEXT_N} here")
+    raise InputError(f"graph6 encoding limited to n <= {MAX_TEXT_N} here")
 
 
 def _g6_decode_n(data: str) -> tuple[int, int]:
     """Returns (n, chars consumed)."""
     if not data:
-        raise ValueError("empty graph6 input")
+        raise InputError("empty graph6 input")
     c = ord(data[0])
     if c != 126:  # '~'
         if not 63 <= c <= 126:
-            raise ValueError(f"bad graph6 byte {c}")
+            raise InputError(f"bad graph6 byte {c}")
         return c - 63, 1
     if len(data) < 4:
-        raise ValueError("truncated graph6 header")
+        raise InputError("truncated graph6 header")
     if data[1] == "~":
-        raise ValueError(f"graph6 n > {MAX_TEXT_N} not supported")
+        raise InputError(f"graph6 n > {MAX_TEXT_N} not supported")
     n = 0
     for ch in data[1:4]:
         c = ord(ch)
         if not 63 <= c <= 126:
-            raise ValueError(f"bad graph6 byte {c}")
+            raise InputError(f"bad graph6 byte {c}")
         n = n << 6 | (c - 63)
     return n, 4
 
@@ -312,24 +321,24 @@ def parse_graph6(text: str) -> Graph:
         data = data[10:]
     n, pos = _g6_decode_n(data)
     if n < 1:
-        raise ValueError("graph6 graph must have n >= 1")
+        raise InputError("graph6 graph must have n >= 1")
     g = Graph(n)
     need = n * (n - 1) // 2
     body = data[pos:]
     if len(body) != (need + 5) // 6:
-        raise ValueError(
+        raise InputError(
             f"graph6 body length {len(body)}, expected {(need + 5) // 6}"
         )
     bit = 0
     for ch in body:
         c = ord(ch)
         if not 63 <= c <= 126:
-            raise ValueError(f"bad graph6 byte {c}")
+            raise InputError(f"bad graph6 byte {c}")
         group = c - 63
         for k in range(5, -1, -1):
             if bit >= need:
                 if group >> k & 1:
-                    raise ValueError("nonzero padding in graph6 body")
+                    raise InputError("nonzero padding in graph6 body")
                 continue
             if group >> k & 1:
                 u, v = _g6_bit_to_pair(bit)

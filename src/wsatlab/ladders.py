@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import close
-from .graphs import Graph, canon_edge, edges_within, host_pair, vertex_mask
+from .graphs import Graph, InputError, canon_edge, edges_within, host_pair, vertex_mask
 from .patterns import PatternStats, Report
 
 Edge = tuple[int, int]
@@ -29,16 +29,16 @@ class LadderSpec:
             r0, r1 = self.rung_pair
             r0, r1 = canon_edge(*r0), canon_edge(*r1)
             if not (self.pattern.has_edge(*r0) and self.pattern.has_edge(*r1)):
-                raise ValueError("rungs must be edges of the pattern")
+                raise InputError("rungs must be edges of the pattern")
             if set(r0) & set(r1):
-                raise ValueError("rungs must be non-incident")
+                raise InputError("rungs must be non-incident")
             return r0, r1
         edges = list(self.pattern.edges())
         for i, e in enumerate(edges):
             for f in edges[i + 1 :]:
                 if not set(e) & set(f):
                     return e, f
-        raise ValueError("pattern has no pair of non-incident edges")
+        raise InputError("pattern has no pair of non-incident edges")
 
 
 @dataclass
@@ -55,7 +55,7 @@ def build_ladder(spec: LadderSpec) -> Ladder:
     h_graph = spec.pattern
     height = spec.height
     if height < 1:
-        raise ValueError("height must be >= 1")
+        raise InputError("height must be >= 1")
     (a0, b0), (a1, b1) = spec.resolved_rungs()
     v_h = h_graph.n
     others = sorted(set(range(v_h)) - {a0, b0})
@@ -110,7 +110,7 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
     g = ladder.graph
     n = g.n
     if n > 24:
-        raise ValueError("exhaustive subgraph scan limited to 24 vertices")
+        raise InputError("exhaustive subgraph scan limited to 24 vertices")
     lam = stats.lam
     assert lam is not None
     strict = stats.xi is not None and stats.xi > 0 and stats.strictly_balanced
@@ -166,19 +166,22 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
 
 
 def count_induced_ladders_at(
-    g: Graph, pair: tuple[int, int], spec: LadderSpec
+    g: Graph, pair: tuple[int, int], ladder: Ladder | LadderSpec
 ) -> int:
     """Number of labeled embeddings of the ladder into g with the base on
-    ``pair`` whose image induces exactly the ladder's edges.
+    ``pair`` whose image induces exactly the ladder's edges; a spec is
+    built into its ladder first, so a caller that counts many hosts passes
+    the ladder it built once.
 
     The base is placed in canonical orientation (min(pair) -> u_0), and the
     remaining vertices are counted as ordered tuples, matching the labeled
     enumeration behind the expected-count formula; in particular the base
     pair and all non-top rungs must be non-edges of g inside the image.
-    A pair that is not two vertices of g raises ValueError.
+    A pair that is not two vertices of g raises InputError.
     """
     u, v = host_pair(g, pair)
-    ladder = build_ladder(spec)
+    if isinstance(ladder, LadderSpec):
+        ladder = build_ladder(ladder)
     lg = ladder.graph
     k2 = lg.n
     if g.n < k2:

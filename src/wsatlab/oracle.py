@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, edges_within, enumerate_labeled_graphs, vertex_mask
+from .graphs import Graph, InputError, edges_within, enumerate_labeled_graphs, vertex_mask
 
 
 def _completes_somewhere(g: Graph, pair: tuple[int, int], h: Graph) -> bool:
@@ -61,7 +61,7 @@ class CensusResult:
 
 def percolation_census(n: int, h: Graph) -> CensusResult:
     if n * (n - 1) // 2 > 20:
-        raise ValueError("census limited to C(n,2) <= 20")
+        raise InputError("census limited to C(n,2) <= 20")
     total = 0
     perc = 0
     by_m: dict[int, list[int]] = {}

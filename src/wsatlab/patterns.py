@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import (Graph, bits, edges_within, enumerate_labeled_graphs,
-                     is_connected, vertex_mask)
+from .graphs import (Graph, InputError, bits, edges_within,
+                     enumerate_labeled_graphs, is_connected, vertex_mask)
 
 MAX_PROFILE_VERTICES = 12
 
@@ -25,7 +25,7 @@ def densest_subgraph_profile(h: Graph) -> dict[int, int]:
     """
     n = h.n
     if n > MAX_PROFILE_VERTICES:
-        raise ValueError(f"pattern too large for subset scan (n={n})")
+        raise InputError(f"pattern too large for subset scan (n={n})")
     profile: dict[int, int] = {}
     for v in range(2, n + 1):
         profile[v] = max(
@@ -56,7 +56,7 @@ class PatternStats:
 def is_2_balanced(g: Graph) -> bool:
     """True iff (e_F-1)/(v_F-2) is maximized at F = g (ties allowed)."""
     if g.n < 3:
-        raise ValueError("2-balance needs at least 3 vertices")
+        raise InputError("2-balance needs at least 3 vertices")
     profile = densest_subgraph_profile(g)
     top = Fraction(g.edge_count - 1, g.n - 2)
     return all(
@@ -67,7 +67,7 @@ def is_2_balanced(g: Graph) -> bool:
 def compute_lambda_prime(h: Graph) -> Fraction:
     """min over edges e of max over subgraphs F of h\\e of e_F/v_F."""
     if h.edge_count < 1:
-        raise ValueError("pattern has no edges")
+        raise InputError("pattern has no edges")
     best: Fraction | None = None
     for u, v in h.edges():
         he = h.without_edge(u, v)
@@ -167,7 +167,7 @@ def verify_appendix_lemmas(v_max: int) -> Report:
     and delta_H >= 2, that balanced(H) iff every H\\e is 2-balanced, and
     that balanced implies connected."""
     if v_max > 7:
-        raise ValueError("exhaustive check limited to v_max <= 7")
+        raise InputError("exhaustive check limited to v_max <= 7")
     checked = 0
     violations: list[str] = []
     for n in range(4, v_max + 1):

@@ -96,7 +96,7 @@ def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex
     certs: dict[Edge, _Certificate] = {}
     for rnd in trace.rounds:
         for e, emb in rnd.added:
-            copy = tuple(emb.copy_edges(h))
+            copy = tuple(emb.copy_edges(pattern_edges))
             support = frozenset(
                 f for f, pe in zip(copy, pattern_edges) if pe != emb.anchor
             )

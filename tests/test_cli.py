@@ -116,6 +116,20 @@ def test_witness_replay_failure_exits_1(capsys, path4_file, monkeypatch):
     assert err.startswith("error: ") and "no certificate" in err
 
 
+def test_engine_value_error_exits_3_with_traceback(capsys, path4_file, monkeypatch):
+    """A ValueError that is not an InputError is an internal failure, not a
+    usage error."""
+    from wsatlab import closure
+
+    def broken_search(g, pair, h):
+        raise ValueError(f"pair {pair} is already an edge")
+
+    monkeypatch.setattr(closure, "find_completion", broken_search)
+    code, out, err = run(capsys, "percolate", "--input", path4_file, "--pattern", "K3")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "already an edge" in err
+
+
 def test_ladder_build_and_verify(capsys):
     code, out, _ = run(capsys, "ladder", "build", "--pattern", "K5",
                        "--height", "3", "--no-timing")
@@ -224,6 +238,18 @@ def test_usage_errors(capsys, path4_file):
         code, out, err = run(capsys, "pc-search", "--n", "10", "--pattern", "K4",
                              "--trials", "5", "--tol", tol)
         assert code == 2 and out == "" and "tolerance >= 0" in err
+    code, out, err = run(capsys, "witness", "--input", path4_file, "--pattern", "K3",
+                         "--target", "a b")
+    assert code == 2 and out == "" and "expected 'u v'" in err
+    code, out, err = run(capsys, "curve", "--n", "5", "--pattern", "K3",
+                         "--grid", "0.5,x", "--trials", "3")
+    assert code == 2 and out == "" and "--grid" in err
+    for name, data in (("binary.el", b"\xff\xfe\x00"), ("dot.el", b"1\n")):
+        path = Path(path4_file).with_name(name)
+        path.write_bytes(data)
+        code, out, err = run(capsys, "close", "--input", path4_file,
+                             "--pattern", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

@@ -39,7 +39,7 @@ def test_find_completion_simple():
     assert sorted(emb.mapping) == [0, 1, 2, 3]
     assert emb.pair == (2, 3)
     # every copy edge except the pair is present
-    for u, v in emb.copy_edges(make_clique(4)):
+    for u, v in emb.copy_edges(make_clique(4).edges()):
         assert (u, v) == (2, 3) or g.has_edge(u, v)
 
 
@@ -251,7 +251,7 @@ def test_find_completion_matches_reference_at_the_chunk_edge():
         assert emb == reference_completion(g, pair, h, plans)
         if emb is not None:
             assert len(set(emb.mapping)) == h.n
-            assert all(e == pair or g.has_edge(*e) for e in emb.copy_edges(h))
+            assert all(e == pair or g.has_edge(*e) for e in emb.copy_edges(h.edges()))
         return emb
 
     for n, p, seed in CHUNK_EDGE_PATTERNS:
@@ -352,7 +352,7 @@ def test_close_records_certified_rounds():
     work = g.copy()
     for rnd in trace.rounds:
         for pair, emb in rnd.added:
-            for u, v in emb.copy_edges(make_clique(3)):
+            for u, v in emb.copy_edges(make_clique(3).edges()):
                 assert (u, v) == pair or work.has_edge(u, v)
         for pair, _ in rnd.added:
             work.add_edge(*pair)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from wsatlab import experiments
-from wsatlab.graphs import Graph, make_clique, serialize_graph6
+from wsatlab.graphs import Graph, InputError, make_clique, serialize_graph6
 from wsatlab.ladders import LadderSpec
 from wsatlab.patterns import analyze
 from wsatlab.experiments import (
@@ -122,16 +123,47 @@ def test_sample_gnp_threads_draw_the_serial_stream():
         assert len(draws) == 20 and all(rows == expect[t] for rows in draws)
 
 
+def fresh_modules(code: str, *names: str, cwd=None) -> list[str]:
+    """Which of ``names`` are in sys.modules after ``code`` runs in a fresh
+    interpreter that imports wsatlab from this checkout."""
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code += f"\nprint('loaded:', *[m for m in {names!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    return out.splitlines()[-1].split()[1:]
+
+
 def test_import_leaves_numpy_random_unloaded():
     # the pool's parent must not pay for numpy.random: it only samples in
     # the workers, and the import adds several MB of resident memory
-    code = ("import sys, wsatlab, wsatlab.cli, wsatlab.experiments; "
-            "print('numpy.random' in sys.modules)")
-    src = str(Path(experiments.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "False"
+    code = "import sys, wsatlab, wsatlab.cli, wsatlab.experiments"
+    assert fresh_modules(code, "numpy.random") == []
+
+
+def test_commands_that_never_draw_leave_numpy_and_the_pool_unloaded(tmp_path):
+    (tmp_path / "g.el").write_text("5\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n")
+    code = (
+        "import sys, wsatlab, wsatlab.cli\n"
+        "for argv in (['analyze', '--pattern', 'K4'],\n"
+        "             ['close', '--input', 'g.el', '--pattern', 'K3'],\n"
+        "             ['percolate', '--input', 'g.el', '--pattern', 'K4']):\n"
+        "    assert wsatlab.cli.main(argv) == 0\n"
+    )
+    assert fresh_modules(code, "numpy", "concurrent.futures.process",
+                         "multiprocessing", cwd=tmp_path) == []
+
+
+def test_pool_parent_loads_numpy_but_not_numpy_random():
+    # the workers fork with numpy already imported; only they draw
+    code = (
+        "import sys\n"
+        "from wsatlab.experiments import percolation_curve\n"
+        "from wsatlab.graphs import make_clique\n"
+        "percolation_curve(12, make_clique(3), [0.3], 8, 1, workers=2)\n"
+    )
+    assert fresh_modules(code, "numpy", "numpy.random") == ["numpy"]
 
 
 def test_sample_gnp_extremes_and_stats():
@@ -167,6 +199,9 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("WSAT_THREADS", "8")
     assert worker_count() == 8
     assert worker_count(3) == 3
+    monkeypatch.setenv("WSAT_THREADS", "two")
+    with pytest.raises(InputError, match="WSAT_THREADS"):
+        worker_count()
 
 
 def test_percolation_curve_extremes():
@@ -263,6 +298,22 @@ def test_ladder_base_experiment_small():
     )
 
 
+def test_ladder_experiment_builds_its_ladder_once(monkeypatch):
+    from wsatlab import ladders
+
+    builds, build = [], ladders.build_ladder
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build(spec)
+
+    expected = ladder_base_experiment(20, make_clique(4), 12, 23, p=0.3, height=1)
+    monkeypatch.setattr(experiments, "build_ladder", counting_build)
+    monkeypatch.setattr(ladders, "build_ladder", counting_build)
+    assert ladder_base_experiment(20, make_clique(4), 12, 23, p=0.3, height=1) == expected
+    assert len(builds) == 1
+
+
 def test_ladder_experiment_alpha_beta_parameters():
     out = ladder_base_experiment(50, make_clique(4), 10, 1, alpha=2.0, beta=0.3)
     assert out["p"] == pytest.approx((2.0 / 50) ** 0.5)
@@ -296,7 +347,7 @@ def test_one_pool_per_monte_carlo_call(monkeypatch):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     k3, k4 = make_clique(3), make_clique(4)
     serial = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=1)
     assert pools == []

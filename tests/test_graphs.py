@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsatlab.graphs import (
     Graph,
+    InputError,
     canon_edge,
     is_connected,
     make_clique,
@@ -176,7 +177,7 @@ GRAPH6_TEXT = st.tuples(
 def test_parse_edge_list_fuzz(text):
     try:
         g = parse_edge_list(text)
-    except ValueError:
+    except InputError:
         return
     out = serialize_edge_list(g)
     assert parse_edge_list(out) == g
@@ -188,7 +189,7 @@ def test_parse_edge_list_fuzz(text):
 def test_parse_graph6_fuzz(text):
     try:
         g = parse_graph6(text)
-    except ValueError:
+    except InputError:
         return
     out = serialize_graph6(g)
     assert parse_graph6(out) == g
