@@ -28,12 +28,12 @@ assumed silently.
 
 The rounds test each candidate pair with ``find_completion``, the anchored
 search for a copy of H that the pair completes.  It runs one plan per arc
-orbit of H (``_SearchPlan``), and ``pattern_info`` compiles each plan once
-into Python functions of nested ``while`` loops, one loop per pattern
-vertex past the anchor, over bitmask candidates.  CPython 3.10 to 3.12
-allow at most 20 nested loops in a function, so a plan of more than 22
-vertices is split into functions of at most 20 loops each, the innermost
-loop of one calling the next.
+orbit of H (``_SearchPlan``), and each plan compiles once, on its first
+search, into Python functions of nested ``while`` loops, one loop per
+pattern vertex past the anchor, over bitmask candidates.  CPython 3.10 to
+3.12 allow at most 20 nested loops in a function, so a plan of more than
+22 vertices is split into functions of at most 20 loops each, the
+innermost loop of one calling the next.
 """
 
 from __future__ import annotations
@@ -134,10 +134,11 @@ class _SearchPlan:
     ``search(rows, u, v, full)`` runs the plan on the host with adjacency
     rows ``rows`` and vertex mask ``full``, with the anchor on (u, v), and
     returns that vector, position by position, or None.  It is generated
-    from the plan's integers alone (``_search_source``): one ``while``
-    loop per position i >= 2, nested in order, over the candidate mask
-    ``rows[x_j] & ... & ~used`` for the positions j of the placed
-    neighbours, cut by ``& -(2 << x_t)`` at the twin floor t, lowest
+    from the plan's integers alone (``_search_source``) and compiled on the
+    plan's first search, so a plan that no search runs is never compiled:
+    one ``while`` loop per position i >= 2, nested in order, over the
+    candidate mask ``rows[x_j] & ... & ~used`` for the positions j of the
+    placed neighbours, cut by ``& -(2 << x_t)`` at the twin floor t, lowest
     candidate first.  The loops are split into functions of at most
     ``_MAX_LOOPS`` levels, the innermost loop of one calling the next.
     """
@@ -167,10 +168,16 @@ class _SearchPlan:
                 y = order[j]
                 if rows[x] & ~(1 << y) == rows[y] & ~(1 << x):
                     self.twin_floor[i] = j
+
+    def search(self, rows: list[int], u: int, v: int, full: int) -> list[int] | None:
+        """Compiles the plan's search on its first call; the compiled
+        function then replaces this method on the instance."""
+        a, b = self.order[:2]
         source = _search_source(self.placed_nbrs, self.twin_floor)
         namespace: dict = {}
         exec(compile(source, f"<search plan {a}->{b}>", "exec"), namespace)
         self.search = namespace["_p2"]
+        return self.search(rows, u, v, full)
 
 
 def _search_source(placed_nbrs: list[list[int]], twin_floor: list[int]) -> str:

@@ -11,20 +11,28 @@ partitions the work.
 Importing this module imports neither numpy nor the process-pool stack, so
 commands that never draw start without them.  numpy is imported by the
 first draw (``sample_gnp``) and by the functions that compute with arrays
-(``ladder_base_experiment``, ``fit_exponent``).  The pool branch of
-``_trial_map`` imports ``concurrent.futures``' process pool, and loads
-numpy, but not numpy.random, in the parent before it starts the pool, so
-that the forked workers inherit numpy instead of each importing it; only
-the workers draw, and numpy.random would add several MB to the parent.
+(``ladder_base_experiment``, ``fit_exponent``).
+
+At more than one worker the trials run on one process pool that lives as
+long as the process (``_trial_map``).  The first pooled call forks it,
+after loading numpy, but not numpy.random, in the parent: the workers
+inherit numpy instead of each importing it, and only they draw, so
+numpy.random stays out of the parent.  Later calls at the same worker
+count reuse it; a call at another count shuts the old pool down and waits
+for it before it forks the new one.  A call that finds the pool broken (a
+worker died) drops it and raises ``BrokenProcessPool``; the next call forks
+a fresh pool.  The workers stop at interpreter exit, through
+``concurrent.futures``' own exit hook.  They run this package as it was
+when they were forked, and the pool assumes one calling thread.
 """
 
 from __future__ import annotations
 
+import atexit
 import importlib
 import math
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .closure import percolates
@@ -131,30 +139,67 @@ def worker_count(workers: int | None = None) -> int:
         raise InputError(f"WSAT_THREADS must be an integer, got {env!r}") from None
 
 
-@contextmanager
+# The process pool of ``_trial_map`` and its worker count, or None.
+_pool = None
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, wait for it, and forget it."""
+    global _pool
+    if _pool is not None:
+        _pool[0].shutdown(wait=True)
+        _pool = None
+
+
+# concurrent.futures' exit hook stops the workers before atexit functions
+# run; dropping the pool then releases the executor while the modules it
+# needs are still loaded, not during interpreter teardown.
+atexit.register(_drop_pool)
+
+
 def _trial_map(workers: int | None):
-    """Yields ``map(fn, items) -> list`` for one Monte Carlo call: in-process
-    at one worker (``worker_count(workers)``), else on a single process pool
-    that every probe of the call reuses.  Results come back in task order,
-    and the chunk size depends on the task and worker counts only."""
+    """``map(fn, items) -> list`` for one Monte Carlo call: in-process at one
+    worker (``worker_count(workers)``), else on the process pool kept in
+    ``_pool``.  Results come back in task order, and the chunk size depends
+    on the task and worker counts only.
+
+    The pool is forked by the first call at more than one worker and kept
+    for the life of the process, so later calls at that count skip the
+    start-up and the workers' imports.  A call at another count first shuts
+    the old pool down and waits for it, so no fork happens while its
+    threads run.  A map that raises ``BrokenProcessPool`` drops the pool and
+    re-raises; the next call forks a fresh one.  The workers run the
+    module state of the moment they were forked: a change made in the
+    parent later (a patched function, say) does not reach them.  The pool
+    is not locked: it assumes that calls come from one thread.
+    """
+    global _pool
     workers = worker_count(workers)
     if workers <= 1:
-        yield lambda fn, items: [fn(x) for x in items]
-        return
+        return lambda fn, items: [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    # Forked workers inherit numpy from here rather than each importing it;
-    # numpy.random stays out of the parent, which never draws.
-    importlib.import_module("numpy")
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    if _pool is not None and _pool[1] != workers:
+        _drop_pool()
+    if _pool is None:
+        # Forked workers inherit numpy from here rather than each importing
+        # it; numpy.random stays out of the parent, which never draws.
+        importlib.import_module("numpy")
+        _pool = (ProcessPoolExecutor(max_workers=workers), workers)
+    ex = _pool[0]
 
-        def pool_map(fn, items: list) -> list:
-            if len(items) <= 1:
-                return [fn(x) for x in items]
-            chunk = max(1, len(items) // (4 * workers))
+    def pool_map(fn, items: list) -> list:
+        if len(items) <= 1:
+            return [fn(x) for x in items]
+        chunk = max(1, len(items) // (4 * workers))
+        try:
             return list(ex.map(fn, items, chunksize=chunk))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
 
-        yield pool_map
+    return pool_map
 
 
 # Trial tasks carry the pattern Graph itself: pickle sends one shared object
@@ -225,12 +270,12 @@ def percolation_curve(
 ) -> list[CurvePoint]:
     _check_sizes(n, trials)
     points = []
-    with _trial_map(workers) as trial_map:
-        for pi, p in enumerate(ps):
-            succ = _count_percolating(trial_map, n, p, pattern, trials,
-                                      master_seed, pi << 32)
-            lo, hi = wilson_interval(succ, trials)
-            points.append(CurvePoint(n, p, trials, succ, succ / trials, lo, hi))
+    trial_map = _trial_map(workers)
+    for pi, p in enumerate(ps):
+        succ = _count_percolating(trial_map, n, p, pattern, trials,
+                                  master_seed, pi << 32)
+        lo, hi = wilson_interval(succ, trials)
+        points.append(CurvePoint(n, p, trials, succ, succ / trials, lo, hi))
     return points
 
 
@@ -272,55 +317,55 @@ def bisect_pc(
     else:
         start = 0.5
     probes: list[tuple[float, int, int, float]] = []
-    with _trial_map(workers) as trial_map:
+    trial_map = _trial_map(workers)
 
-        def probe(p: float) -> float:
-            succ = _count_percolating(trial_map, n, p, pattern, trials,
-                                      master_seed, len(probes) << 40)
-            frac = succ / trials
-            probes.append((p, succ, trials, frac))
-            return frac
+    def probe(p: float) -> float:
+        succ = _count_percolating(trial_map, n, p, pattern, trials,
+                                  master_seed, len(probes) << 40)
+        frac = succ / trials
+        probes.append((p, succ, trials, frac))
+        return frac
 
-        lo, hi = 0.0, 1.0
-        p = start
-        if probe(p) >= 0.5:
-            hi = p
-            while len(probes) < MAX_PROBES:
-                p /= 2
-                if p < 1e-9:
-                    # everything percolates down to negligible p
-                    return PcEstimate(n, 0.0, (0.0, hi), trials, probes, True)
-                if probe(p) >= 0.5:
-                    hi = p
-                else:
-                    lo = p
-                    break
-        else:
-            lo = p
-            while len(probes) < MAX_PROBES and p < 1.0:
-                p = min(1.0, p * 2)
-                if probe(p) >= 0.5:
-                    hi = p
-                    break
-                lo = p
-
+    lo, hi = 0.0, 1.0
+    p = start
+    if probe(p) >= 0.5:
+        hi = p
         while len(probes) < MAX_PROBES:
-            mid = (lo + hi) / 2
-            if hi - lo < tolerance * mid:
-                break
-            frac = probe(mid)
-            ci = wilson_interval(probes[-1][1], trials)
-            if ci[0] < 0.5 < ci[1]:
-                # the trial budget cannot resolve which side of p_c this probe
-                # sits on, so the midpoint itself is the estimate
-                return PcEstimate(n, mid, (lo, hi), trials, probes, True)
-            if frac >= 0.5:
-                hi = mid
+            p /= 2
+            if p < 1e-9:
+                # everything percolates down to negligible p
+                return PcEstimate(n, 0.0, (0.0, hi), trials, probes, True)
+            if probe(p) >= 0.5:
+                hi = p
             else:
-                lo = mid
-        p_hat = (lo + hi) / 2
-        converged = hi - lo < tolerance * p_hat if p_hat > 0 else True
-        return PcEstimate(n, p_hat, (lo, hi), trials, probes, converged)
+                lo = p
+                break
+    else:
+        lo = p
+        while len(probes) < MAX_PROBES and p < 1.0:
+            p = min(1.0, p * 2)
+            if probe(p) >= 0.5:
+                hi = p
+                break
+            lo = p
+
+    while len(probes) < MAX_PROBES:
+        mid = (lo + hi) / 2
+        if hi - lo < tolerance * mid:
+            break
+        frac = probe(mid)
+        ci = wilson_interval(probes[-1][1], trials)
+        if ci[0] < 0.5 < ci[1]:
+            # the trial budget cannot resolve which side of p_c this probe
+            # sits on, so the midpoint itself is the estimate
+            return PcEstimate(n, mid, (lo, hi), trials, probes, True)
+        if frac >= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    p_hat = (lo + hi) / 2
+    converged = hi - lo < tolerance * p_hat if p_hat > 0 else True
+    return PcEstimate(n, p_hat, (lo, hi), trials, probes, converged)
 
 
 # -- theory markers and ladder statistics ----------------------------------------
@@ -414,8 +459,7 @@ def ladder_base_experiment(
     ladder = build_ladder(LadderSpec(pattern=pattern, height=height))
     formula = expected_ladder_count(n, p, ladder)
     tasks = [(n, p, mix_seed(master_seed, t), ladder) for t in range(trials)]
-    with _trial_map(workers) as trial_map:
-        counts = trial_map(_ladder_count_trial, tasks)
+    counts = _trial_map(workers)(_ladder_count_trial, tasks)
     import numpy as np
 
     counts_arr = np.asarray(counts, dtype=float)

@@ -320,6 +320,22 @@ def test_compiled_plans_take_the_least_unused_vertices_on_a_complete_host():
             assert plan.search(rows, u, v, (1 << m) - 1) == least
 
 
+def test_plans_compile_on_their_first_search(monkeypatch):
+    """Building the plans of an asymmetric pattern compiles none of them;
+    each plan compiles on its first search, and only then."""
+    sources, source = [], closure._search_source
+    monkeypatch.setattr(closure, "_search_source",
+                        lambda *args: sources.append(args) or source(*args))
+    h = sample_gnp(10, 0.5, 1)
+    plans = closure._PatternInfo(h).plans
+    assert len(plans) == 54 and sources == []
+    full = (1 << h.n) - 1
+    first = [plan.search(h.rows, *plan.order[:2], full) for plan in plans]
+    assert len(sources) == len(plans) and None not in first
+    assert [plan.search(h.rows, *plan.order[:2], full) for plan in plans] == first
+    assert len(sources) == len(plans)
+
+
 def test_search_plans_of_seeded_patterns_are_pinned():
     """The anchors, orders and twin floors of every plan of seeded patterns
     with 10 to 24 vertices, digested as they were before the plans were

@@ -1,12 +1,16 @@
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -339,7 +343,7 @@ def test_ladder_experiment_takes_exactly_one_parameter_pair():
             ladder_base_experiment(30, k4, 3, 1, **params)
 
 
-def test_one_pool_per_monte_carlo_call(monkeypatch):
+def test_one_pool_per_process_and_worker_count(monkeypatch):
     pools = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -348,14 +352,77 @@ def test_one_pool_per_monte_carlo_call(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    experiments._drop_pool()
     k3, k4 = make_clique(3), make_clique(4)
+    ps = [0.15, 0.25, 0.35]
     serial = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=1)
+    serial_curve = percolation_curve(18, k4, ps, 20, 11, workers=1)
     assert pools == []
     pooled = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=2)
+    pooled_curve = percolation_curve(18, k4, ps, 20, 11, workers=2)
     assert len(pools) == 1
     assert len(serial.probes) > 1 and pooled.probes == serial.probes
-    ps = [0.15, 0.25, 0.35]
-    serial_curve = percolation_curve(18, k4, ps, 20, 11, workers=1)
-    pooled_curve = percolation_curve(18, k4, ps, 20, 11, workers=2)
-    assert len(pools) == 2
     assert pooled_curve == serial_curve
+    # the old pool's threads are gone before the new pool forks, which
+    # Python 3.12 and later would report with a DeprecationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        replaced = percolation_curve(18, k4, ps, 20, 11, workers=3)
+    assert len(pools) == 2 and experiments._pool[0] is pools[1]
+    assert replaced == serial_curve
+
+
+def gone(pid: int, timeout: float = 10.0) -> bool:
+    """Whether process ``pid`` has ended (a zombie counts) within ``timeout``."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] in "ZX":
+                return True
+        except (FileNotFoundError, ProcessLookupError):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("ending,code", [("", 0), ("raise RuntimeError('uncaught')", 1)],
+                         ids=["normal-exit", "uncaught-exception"])
+def test_no_worker_outlives_its_process(ending, code, tmp_path):
+    script = (
+        "import multiprocessing\n"
+        "from wsatlab.experiments import percolation_curve\n"
+        "from wsatlab.graphs import make_clique\n"
+        "percolation_curve(12, make_clique(3), [0.3], 8, 1, workers=2)\n"
+        "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+        + ending
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    # files, not pipes: a worker left running would hold a pipe open
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("w") as fout, err.open("w") as ferr:
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              stdout=fout, stderr=ferr, timeout=60)
+    assert proc.returncode == code, err.read_text()
+    pids = [int(x) for x in out.read_text().split()]
+    assert len(pids) == 2
+    # the exit hook joins the workers, so none is left, not even a zombie
+    assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_killed_worker_fails_at_most_one_call():
+    k4 = make_clique(4)
+    ps = [0.15, 0.25, 0.35]
+    serial = percolation_curve(18, k4, ps, 40, 11, workers=1)
+    assert percolation_curve(18, k4, ps, 40, 11, workers=2) == serial
+    pid = experiments._pool[0].submit(os.getpid).result()
+    os.kill(pid, signal.SIGKILL)
+    assert gone(pid)
+    try:
+        assert percolation_curve(18, k4, ps, 40, 11, workers=2) == serial
+    except BrokenProcessPool:
+        assert experiments._pool is None
+    assert percolation_curve(18, k4, ps, 40, 11, workers=2) == serial
