@@ -7,7 +7,7 @@ k - 2, and the replay decomposition explains how the witness assembled.
 """
 
 from wsatlab.graphs import make_clique
-from wsatlab.ladders import LadderSpec, build_ladder
+from wsatlab.ladders import build_ladder
 from wsatlab.patterns import analyze
 from wsatlab.witness import close_with_witnesses, rea_replay
 
@@ -15,7 +15,7 @@ from wsatlab.witness import close_with_witnesses, rea_replay
 def main():
     h = make_clique(5)
     stats = analyze(h)
-    lad = build_ladder(LadderSpec(pattern=h, height=3))
+    lad = build_ladder(h, 3)
     g = lad.graph
     print(f"K_5 ladder, height 3: n={g.n}, edges={g.edge_count}")
     print(f"  sparsity check: lambda * (n - 2) + 1 = "

@@ -37,7 +37,6 @@ from .witness import (
 )
 from .ladders import (
     Ladder,
-    LadderSpec,
     build_ladder,
     count_induced_ladders_at,
     ladder_closure_check,

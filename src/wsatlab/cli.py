@@ -34,7 +34,6 @@ from .graphs import (
     serialize_edge_list,
 )
 from .ladders import (
-    LadderSpec,
     build_ladder,
     count_induced_ladders_at,
     ladder_closure_check,
@@ -208,9 +207,8 @@ def cmd_witness(args, started) -> int:
 
 def cmd_ladder(args, started) -> int:
     h = resolve_pattern(args.pattern)
-    spec = LadderSpec(pattern=h, height=args.height)
     if args.action == "build":
-        ladder = build_ladder(spec)
+        ladder = build_ladder(h, args.height)
         emit_json(
             {
                 "n": ladder.graph.n,
@@ -224,7 +222,7 @@ def cmd_ladder(args, started) -> int:
         )
         return 0
     if args.action == "verify":
-        ladder = build_ladder(spec)
+        ladder = build_ladder(h, args.height)
         stats = analyze(h)
         rep = verify_ladder_lemma(ladder, stats)
         crep = ladder_closure_check(ladder, h)
@@ -243,7 +241,7 @@ def cmd_ladder(args, started) -> int:
         raise InputError("ladder count needs --host and --base")
     g = load_graph(args.host)
     base = parse_pair(args.base, g.n)
-    count = count_induced_ladders_at(g, base, spec)
+    count = count_induced_ladders_at(g, base, build_ladder(h, args.height))
     emit_json({"count": count, "base": list(base)}, args, started)
     return 0
 

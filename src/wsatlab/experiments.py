@@ -13,17 +13,15 @@ commands that never draw start without them.  numpy is imported by the
 first draw (``sample_gnp``) and by the functions that compute with arrays
 (``ladder_base_experiment``, ``fit_exponent``).
 
-At more than one worker the trials run on one process pool that lives as
-long as the process (``_trial_map``).  The first pooled call forks it,
-after loading numpy, but not numpy.random, in the parent: the workers
-inherit numpy instead of each importing it, and only they draw, so
-numpy.random stays out of the parent.  Later calls at the same worker
-count reuse it; a call at another count shuts the old pool down and waits
-for it before it forks the new one.  A call that finds the pool broken (a
-worker died) drops it and raises ``BrokenProcessPool``; the next call forks
-a fresh pool.  The workers stop at interpreter exit, through
-``concurrent.futures``' own exit hook.  They run this package as it was
-when they were forked, and the pool assumes one calling thread.
+Maps of more than one trial at more than one worker run on one process
+pool kept for the life of the process (``_map_trials``); every other map
+runs in-process.  The pool is forked after loading numpy, but not
+numpy.random, in the parent: the workers inherit numpy instead of each
+importing it, and only they draw, so numpy.random stays out of the
+parent.  The workers stop at interpreter exit, through
+``concurrent.futures``' own exit hook, and each also ends once the parent
+has ended, so a parent that skips its exit hooks (``os._exit``, a signal)
+leaves none behind.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 from .closure import percolates
 from .graphs import Graph, InputError
-from .ladders import Ladder, LadderSpec, build_ladder, count_induced_ladders_at
+from .ladders import Ladder, build_ladder, count_induced_ladders_at
 from .patterns import PatternStats, analyze
 
 _MASK64 = (1 << 64) - 1
@@ -139,7 +137,7 @@ def worker_count(workers: int | None = None) -> int:
         raise InputError(f"WSAT_THREADS must be an integer, got {env!r}") from None
 
 
-# The process pool of ``_trial_map`` and its worker count, or None.
+# The process pool of ``_map_trials`` and its worker count, or None.
 _pool = None
 
 
@@ -151,32 +149,48 @@ def _drop_pool() -> None:
         _pool = None
 
 
+def _end_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker once the process
+    that forked it has ended, also one that skipped its exit hooks
+    (``os._exit``, a signal)."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 # concurrent.futures' exit hook stops the workers before atexit functions
 # run; dropping the pool then releases the executor while the modules it
 # needs are still loaded, not during interpreter teardown.
 atexit.register(_drop_pool)
 
 
-def _trial_map(workers: int | None):
-    """``map(fn, items) -> list`` for one Monte Carlo call: in-process at one
-    worker (``worker_count(workers)``), else on the process pool kept in
-    ``_pool``.  Results come back in task order, and the chunk size depends
-    on the task and worker counts only.
+def _map_trials(fn, items: list, workers: int | None) -> list:
+    """``[fn(x) for x in items]``, in order: in-process at one worker
+    (``worker_count(workers)``) or for at most one item, else on the process
+    pool kept in ``_pool``, in chunks whose size depends on the item and
+    worker counts only.
 
-    The pool is forked by the first call at more than one worker and kept
-    for the life of the process, so later calls at that count skip the
-    start-up and the workers' imports.  A call at another count first shuts
-    the old pool down and waits for it, so no fork happens while its
-    threads run.  A map that raises ``BrokenProcessPool`` drops the pool and
-    re-raises; the next call forks a fresh one.  The workers run the
-    module state of the moment they were forked: a change made in the
-    parent later (a patched function, say) does not reach them.  The pool
-    is not locked: it assumes that calls come from one thread.
+    The pool is forked by the first pooled map and kept for the life of the
+    process, so later maps at that worker count skip the start-up and the
+    workers' imports.  A map at another count first shuts the old pool down
+    and waits for it, so no fork happens while its threads run.  A map that
+    raises ``BrokenProcessPool`` drops the pool and re-raises; the next map
+    forks a fresh one.  The workers run the module state of the moment they
+    were forked: a change made in the parent later (a patched function, say)
+    does not reach them.  The pool is not locked: it assumes that maps come
+    from one thread.
     """
     global _pool
     workers = worker_count(workers)
-    if workers <= 1:
-        return lambda fn, items: [fn(x) for x in items]
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -186,20 +200,14 @@ def _trial_map(workers: int | None):
         # Forked workers inherit numpy from here rather than each importing
         # it; numpy.random stays out of the parent, which never draws.
         importlib.import_module("numpy")
-        _pool = (ProcessPoolExecutor(max_workers=workers), workers)
-    ex = _pool[0]
-
-    def pool_map(fn, items: list) -> list:
-        if len(items) <= 1:
-            return [fn(x) for x in items]
-        chunk = max(1, len(items) // (4 * workers))
-        try:
-            return list(ex.map(fn, items, chunksize=chunk))
-        except BrokenProcessPool:
-            _drop_pool()
-            raise
-
-    return pool_map
+        _pool = (ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent),
+                 workers)
+    chunk = max(1, len(items) // (4 * workers))
+    try:
+        return list(_pool[0].map(fn, items, chunksize=chunk))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 # Trial tasks carry the pattern Graph itself: pickle sends one shared object
@@ -222,14 +230,14 @@ def _check_sizes(n: int, trials: int) -> None:
 
 
 def _count_percolating(
-    trial_map, n: int, p: float, pattern: Graph, trials: int, master_seed: int,
-    stream: int,
+    n: int, p: float, pattern: Graph, trials: int, master_seed: int, stream: int,
+    workers: int | None,
 ) -> int:
     """Trials of G(n, p) that percolate; trial t draws stream ``stream | t``."""
     tasks = [
         (n, p, mix_seed(master_seed, stream | t), pattern) for t in range(trials)
     ]
-    return sum(trial_map(_percolation_trial, tasks))
+    return sum(_map_trials(_percolation_trial, tasks, workers))
 
 
 # -- percolation probability ----------------------------------------------------
@@ -270,10 +278,9 @@ def percolation_curve(
 ) -> list[CurvePoint]:
     _check_sizes(n, trials)
     points = []
-    trial_map = _trial_map(workers)
     for pi, p in enumerate(ps):
-        succ = _count_percolating(trial_map, n, p, pattern, trials,
-                                  master_seed, pi << 32)
+        succ = _count_percolating(n, p, pattern, trials, master_seed, pi << 32,
+                                  workers)
         lo, hi = wilson_interval(succ, trials)
         points.append(CurvePoint(n, p, trials, succ, succ / trials, lo, hi))
     return points
@@ -317,11 +324,10 @@ def bisect_pc(
     else:
         start = 0.5
     probes: list[tuple[float, int, int, float]] = []
-    trial_map = _trial_map(workers)
 
     def probe(p: float) -> float:
-        succ = _count_percolating(trial_map, n, p, pattern, trials,
-                                  master_seed, len(probes) << 40)
+        succ = _count_percolating(n, p, pattern, trials, master_seed,
+                                  len(probes) << 40, workers)
         frac = succ / trials
         probes.append((p, succ, trials, frac))
         return frac
@@ -385,11 +391,9 @@ def theory_markers(n: int, stats: PatternStats) -> dict[str, float]:
     }
 
 
-def expected_ladder_count(n: int, p: float, ladder: Ladder | LadderSpec) -> float:
+def expected_ladder_count(n: int, p: float, ladder: Ladder) -> float:
     """Exact expected number of labeled induced ladders at a fixed base,
-    evaluated in log space; a spec is built into its ladder first."""
-    if isinstance(ladder, LadderSpec):
-        ladder = build_ladder(ladder)
+    evaluated in log space."""
     k = ladder.size
     if k > n - 2:
         raise InputError("ladder does not fit in the host")
@@ -456,10 +460,10 @@ def ladder_base_experiment(
         report["constraints_satisfied"] = hi is not None and lo < mid < hi
         report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
                                        "vh2_log_alpha": hi}
-    ladder = build_ladder(LadderSpec(pattern=pattern, height=height))
+    ladder = build_ladder(pattern, height)
     formula = expected_ladder_count(n, p, ladder)
     tasks = [(n, p, mix_seed(master_seed, t), ladder) for t in range(trials)]
-    counts = _trial_map(workers)(_ladder_count_trial, tasks)
+    counts = _map_trials(_ladder_count_trial, tasks, workers)
     import numpy as np
 
     counts_arr = np.asarray(counts, dtype=float)

@@ -18,66 +18,44 @@ from .patterns import PatternStats, Report
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LadderSpec:
-    pattern: Graph
-    height: int
-    rung_pair: tuple[Edge, Edge] | None = None  # default: lexicographic least
-
-    def resolved_rungs(self) -> tuple[Edge, Edge]:
-        if self.rung_pair is not None:
-            r0, r1 = self.rung_pair
-            r0, r1 = canon_edge(*r0), canon_edge(*r1)
-            if not (self.pattern.has_edge(*r0) and self.pattern.has_edge(*r1)):
-                raise InputError("rungs must be edges of the pattern")
-            if set(r0) & set(r1):
-                raise InputError("rungs must be non-incident")
-            return r0, r1
-        edges = list(self.pattern.edges())
-        for i, e in enumerate(edges):
-            for f in edges[i + 1 :]:
-                if not set(e) & set(f):
-                    return e, f
-        raise InputError("pattern has no pair of non-incident edges")
-
-
 @dataclass
 class Ladder:
     graph: Graph                     # base (0, 1) is a non-edge
     rungs: list[Edge]                # (u_i, v_i) for i = 0..h; only the top is an edge
     steps: list[frozenset[int]]      # vertex sets of the steps S_1..S_h
-    step_uppers: list[frozenset[int]]  # V(S_i) minus its bottom rung vertices
     height: int
     size: int                        # (v_H - 2) * h
 
 
-def build_ladder(spec: LadderSpec) -> Ladder:
-    h_graph = spec.pattern
-    height = spec.height
+def build_ladder(h_graph: Graph, height: int) -> Ladder:
+    """The height-``height`` ladder of ``h_graph``; its rungs are the
+    lexicographically least pair of non-incident edges of the pattern."""
     if height < 1:
         raise InputError("height must be >= 1")
-    (a0, b0), (a1, b1) = spec.resolved_rungs()
+    edges = list(h_graph.edges())
+    rung_edges = next(((e, f) for i, e in enumerate(edges) for f in edges[i + 1:]
+                      if not set(e) & set(f)), None)
+    if rung_edges is None:
+        raise InputError("pattern has no pair of non-incident edges")
+    (a0, b0), (a1, b1) = rung_edges
     v_h = h_graph.n
     others = sorted(set(range(v_h)) - {a0, b0})
     n = 2 + (v_h - 2) * height
     g = Graph(n)
     rungs: list[Edge] = [(0, 1)]
     steps: list[frozenset[int]] = []
-    uppers: list[frozenset[int]] = []
-    skip = {canon_edge(a0, b0), canon_edge(a1, b1)}
+    skip = set(rung_edges)
     for i in range(height):
         u_prev, v_prev = rungs[-1]
         fresh = 2 + (v_h - 2) * i
         image = {a0: u_prev, b0: v_prev}
         for off, x in enumerate(others):
             image[x] = fresh + off
-        for x, y in h_graph.edges():
-            if canon_edge(x, y) in skip:
-                continue
-            g.add_edge(image[x], image[y])
+        for x, y in edges:
+            if (x, y) not in skip:
+                g.add_edge(image[x], image[y])
         rungs.append(canon_edge(image[a1], image[b1]))
         steps.append(frozenset(image.values()))
-        uppers.append(frozenset(image.values()) - {u_prev, v_prev})
     g.add_edge(*rungs[-1])
 
     size = (v_h - 2) * height
@@ -90,7 +68,6 @@ def build_ladder(spec: LadderSpec) -> Ladder:
         graph=g,
         rungs=rungs,
         steps=steps,
-        step_uppers=uppers,
         height=height,
         size=size,
     )
@@ -118,7 +95,8 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
     rep.details["mode"] = "strict" if strict else "degenerate"
 
     step_masks = [vertex_mask(vs) for vs in ladder.steps]
-    upper_masks = [vertex_mask(ups) for ups in ladder.step_uppers]
+    # each step minus the vertices of its bottom rung
+    upper_masks = [sm & ~vertex_mask(rung) for sm, rung in zip(step_masks, ladder.rungs)]
     prefix_unions = set()
     acc = 0
     for m in step_masks[:-1]:
@@ -165,13 +143,9 @@ def verify_ladder_lemma(ladder: Ladder, stats: PatternStats) -> Report:
 # -- induced ladders in a host ---------------------------------------------------
 
 
-def count_induced_ladders_at(
-    g: Graph, pair: tuple[int, int], ladder: Ladder | LadderSpec
-) -> int:
+def count_induced_ladders_at(g: Graph, pair: tuple[int, int], ladder: Ladder) -> int:
     """Number of labeled embeddings of the ladder into g with the base on
-    ``pair`` whose image induces exactly the ladder's edges; a spec is
-    built into its ladder first, so a caller that counts many hosts passes
-    the ladder it built once.
+    ``pair`` whose image induces exactly the ladder's edges.
 
     The base is placed in canonical orientation (min(pair) -> u_0), and the
     remaining vertices are counted as ordered tuples, matching the labeled
@@ -180,8 +154,6 @@ def count_induced_ladders_at(
     A pair that is not two vertices of g raises InputError.
     """
     u, v = host_pair(g, pair)
-    if isinstance(ladder, LadderSpec):
-        ladder = build_ladder(ladder)
     lg = ladder.graph
     k2 = lg.n
     if g.n < k2:

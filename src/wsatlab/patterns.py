@@ -50,7 +50,6 @@ class PatternStats:
     strictly_balanced: bool
     connected: bool
     degenerate: bool                # v_H <= 3 or delta_H <= 1
-    profile: dict[int, int] = field(compare=False)
 
 
 def is_2_balanced(g: Graph) -> bool:
@@ -143,7 +142,6 @@ def analyze(h: Graph) -> PatternStats:
         strictly_balanced=strictly,
         connected=connected,
         degenerate=degenerate,
-        profile=profile,
     )
 
 

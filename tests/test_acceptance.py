@@ -18,7 +18,7 @@ import pytest
 
 from wsatlab.closure import close
 from wsatlab.graphs import Graph, make_clique, make_double_barbell
-from wsatlab.ladders import LadderSpec, build_ladder, count_induced_ladders_at, verify_ladder_lemma
+from wsatlab.ladders import build_ladder, count_induced_ladders_at, verify_ladder_lemma
 from wsatlab.oracle import enumerate_labeled_graphs, naive_close, percolation_census
 from wsatlab.patterns import analyze, verify_appendix_lemmas
 from wsatlab.experiments import (
@@ -50,7 +50,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 def test_acceptance_1_ladder_figure_exactness():
     h = make_clique(5)
-    lad = build_ladder(LadderSpec(pattern=h, height=3))
+    lad = build_ladder(h, 3)
     ok = lad.graph.n == 11 and lad.graph.edge_count == 25
     _, recs = close_with_witnesses(lad.graph, h)
     rec = recs[(0, 1)]
@@ -116,7 +116,7 @@ def test_acceptance_5_ladder_lemma_exhaustive():
     bad = 0
     eq_ok = True
     for h in (1, 2, 3):
-        lad = build_ladder(LadderSpec(pattern=make_clique(5), height=h))
+        lad = build_ladder(make_clique(5), h)
         rep = verify_ladder_lemma(lad, stats)
         bad += len(rep.violations)
         eq_ok = eq_ok and set(rep.details["prefix_union_masks"]) <= set(
@@ -189,15 +189,15 @@ def test_acceptance_7_k4_threshold_scaling():
 
 def test_acceptance_8_expected_ladder_count():
     n, p, trials = 60, 0.1, 2000
-    spec = LadderSpec(pattern=make_clique(4), height=1)
+    ladder = build_ladder(make_clique(4), 1)
     counts = []
     for t in range(trials):
         g = sample_gnp(n, p, mix_seed(4242, t))
-        counts.append(count_induced_ladders_at(g, (0, 1), spec))
+        counts.append(count_induced_ladders_at(g, (0, 1), ladder))
     mean = sum(counts) / trials
     var = sum((c - mean) ** 2 for c in counts) / (trials - 1)
     se = math.sqrt(var / trials)
-    formula = expected_ladder_count(n, p, spec)
+    formula = expected_ladder_count(n, p, ladder)
     dev = abs(mean - formula) / se if se > 0 else float("inf")
     verdict(8, dev <= 3.0,
             f"mean count {mean:.4f} vs formula {formula:.4f} over {trials} "

@@ -146,9 +146,9 @@ def test_ladder_build_and_verify(capsys):
 
 def test_ladder_count(capsys, tmp_path):
     from wsatlab.graphs import serialize_edge_list
-    from wsatlab.ladders import LadderSpec, build_ladder
+    from wsatlab.ladders import build_ladder
 
-    lad = build_ladder(LadderSpec(pattern=make_clique(5), height=1))
+    lad = build_ladder(make_clique(5), 1)
     host = tmp_path / "host.el"
     host.write_text(serialize_edge_list(lad.graph))
     code, out, _ = run(capsys, "ladder", "count", "--pattern", "K5",

@@ -27,7 +27,7 @@ from wsatlab.graphs import (
 )
 from wsatlab.oracle import naive_close
 from wsatlab.experiments import sample_gnp
-from wsatlab.ladders import LadderSpec, count_induced_ladders_at
+from wsatlab.ladders import build_ladder, count_induced_ladders_at
 from wsatlab.patterns import relabel
 
 
@@ -567,10 +567,10 @@ def test_pairs_outside_the_host_are_refused():
 
 def test_ladder_counts_refuse_pairs_outside_the_host():
     g = sample_gnp(20, 0.4, 1)
-    spec = LadderSpec(pattern=make_clique(4), height=1)
+    ladder = build_ladder(make_clique(4), 1)
     for pair in ((0, 99), (19, 20), (-1, 2)):
         with pytest.raises(ValueError, match="not two vertices of 0..19"):
-            count_induced_ladders_at(g, pair, spec)
+            count_induced_ladders_at(g, pair, ladder)
 
 
 def test_closure_contains_edge_early_exit():

@@ -18,7 +18,7 @@ import pytest
 
 from wsatlab import experiments
 from wsatlab.graphs import Graph, InputError, make_clique, serialize_graph6
-from wsatlab.ladders import LadderSpec
+from wsatlab.ladders import build_ladder
 from wsatlab.patterns import analyze
 from wsatlab.experiments import (
     bisect_pc,
@@ -225,14 +225,14 @@ def test_percolation_curve_worker_invariance():
 
 def test_expected_ladder_count_closed_form():
     # K_4 ladder of height 1 on k=2 extra vertices: 5 edges, 1 absent pair
-    spec = LadderSpec(pattern=make_clique(4), height=1)
+    ladder = build_ladder(make_clique(4), 1)
     for n, p in [(60, 0.1), (30, 0.05)]:
         exact = (n - 2) * (n - 3) * p**5 * (1 - p)
-        assert expected_ladder_count(n, p, spec) == pytest.approx(exact, rel=1e-12)
-    assert expected_ladder_count(60, 0.0, spec) == 0.0
-    assert expected_ladder_count(60, 1.0, spec) == 0.0  # absent pair impossible
+        assert expected_ladder_count(n, p, ladder) == pytest.approx(exact, rel=1e-12)
+    assert expected_ladder_count(60, 0.0, ladder) == 0.0
+    assert expected_ladder_count(60, 1.0, ladder) == 0.0  # absent pair impossible
     with pytest.raises(ValueError):
-        expected_ladder_count(3, 0.1, spec)
+        expected_ladder_count(3, 0.1, ladder)
 
 
 def test_theory_markers():
@@ -307,9 +307,9 @@ def test_ladder_experiment_builds_its_ladder_once(monkeypatch):
 
     builds, build = [], ladders.build_ladder
 
-    def counting_build(spec):
-        builds.append(spec)
-        return build(spec)
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
 
     expected = ladder_base_experiment(20, make_clique(4), 12, 23, p=0.3, height=1)
     monkeypatch.setattr(experiments, "build_ladder", counting_build)
@@ -357,6 +357,11 @@ def test_one_pool_per_process_and_worker_count(monkeypatch):
     ps = [0.15, 0.25, 0.35]
     serial = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=1)
     serial_curve = percolation_curve(18, k4, ps, 20, 11, workers=1)
+    # a map of at most one trial runs in-process, also at more than one worker
+    assert percolation_curve(18, k4, ps, 1, 11, workers=2) == \
+        percolation_curve(18, k4, ps, 1, 11, workers=1)
+    assert ladder_base_experiment(18, k4, 1, 11, p=0.3, height=1, workers=2) == \
+        ladder_base_experiment(18, k4, 1, 11, p=0.3, height=1, workers=1)
     assert pools == []
     pooled = bisect_pc(30, k3, trials=40, tolerance=0.2, master_seed=5, workers=2)
     pooled_curve = percolation_curve(18, k4, ps, 20, 11, workers=2)
@@ -387,8 +392,9 @@ def gone(pid: int, timeout: float = 10.0) -> bool:
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-@pytest.mark.parametrize("ending,code", [("", 0), ("raise RuntimeError('uncaught')", 1)],
-                         ids=["normal-exit", "uncaught-exception"])
+@pytest.mark.parametrize("ending,code", [("", 0), ("raise RuntimeError('uncaught')", 1),
+                                         ("import os; os._exit(1)", 1)],
+                         ids=["normal-exit", "uncaught-exception", "os-exit"])
 def test_no_worker_outlives_its_process(ending, code, tmp_path):
     script = (
         "import multiprocessing\n"
@@ -408,8 +414,13 @@ def test_no_worker_outlives_its_process(ending, code, tmp_path):
     assert proc.returncode == code, err.read_text()
     pids = [int(x) for x in out.read_text().split()]
     assert len(pids) == 2
-    # the exit hook joins the workers, so none is left, not even a zombie
-    assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+    if "_exit" in ending:
+        # no exit hook ran: each worker ends by itself once its parent has
+        # gone, and stays a zombie until whoever inherited it reaps it
+        assert all(gone(pid) for pid in pids)
+    else:
+        # the exit hook joins the workers, so none is left, not even a zombie
+        assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")

@@ -8,7 +8,7 @@ import pytest
 
 from wsatlab.closure import RoundRecord, close
 from wsatlab.graphs import Graph, make_clique
-from wsatlab.ladders import LadderSpec, build_ladder
+from wsatlab.ladders import build_ladder
 from wsatlab.patterns import analyze
 from wsatlab.experiments import mix_seed, sample_gnp, theory_markers
 from wsatlab.witness import (
@@ -59,7 +59,7 @@ def test_path4_k3_witnesses():
 
 def test_ladder_base_witness_is_whole_ladder():
     h = make_clique(5)
-    lad = build_ladder(LadderSpec(pattern=h, height=3))
+    lad = build_ladder(h, 3)
     trace, recs = close_with_witnesses(lad.graph, h)
     rec = recs[(0, 1)]
     assert rec.k == lad.graph.n == 11
@@ -85,7 +85,7 @@ def test_rea_replay_path4():
 def test_rea_component_bound_fields():
     h = make_clique(5)
     stats = analyze(h)
-    lad = build_ladder(LadderSpec(pattern=h, height=2))
+    lad = build_ladder(h, 2)
     trace, recs = close_with_witnesses(lad.graph, h)
     rea = rea_replay((0, 1), recs, trace, h)
     rep = check_component_bound(rea, stats)
@@ -96,7 +96,7 @@ def test_rea_component_bound_fields():
 def test_case2_bound_on_ladder():
     h = make_clique(5)
     stats = analyze(h)
-    lad = build_ladder(LadderSpec(pattern=h, height=3))
+    lad = build_ladder(h, 3)
     trace, recs = close_with_witnesses(lad.graph, h)
     rec = recs[(0, 1)]
     rea = rea_replay((0, 1), recs, trace, h)
