@@ -14,26 +14,28 @@ pattern: it grows each uncovered edge into a clique of the closure and
 returns the union of those cliques, or None once one clique spans.  For K_3
 the cliques are the components and for K_4 their union is the closure; for
 other patterns it is a subgraph of the closure.  ``percolates`` and
-``closure_contains_edge`` share one path past their own exits
-(``_closure_holds``): the kernel; then for K_r, r >= 5, the sequential work
-queue (``_clique_close_seq``) on the kernel's union; and for every other
-pattern the rounds of ``close`` (``_rounds``) from that union, without
-keeping them, with the kernel re-run after each round.  ``percolates``
-first applies the degree rule; ``closure_contains_edge`` first answers a
-present target and applies the degree rule at the target's endpoints.
-``wsat percolate`` still runs ``close``, because it prints the round count.
-Agreement with the round engine (confluence of the monotone automaton) and
-with ``oracle.naive_close`` is enforced by differential tests, never
-assumed silently.
+``closure_contains_edge`` check their input and share one path
+(``_closure_holds``): the degree rule, over every vertex or at the target's
+ends; the kernel; then for K_r, r >= 5, the sequential work queue
+(``_clique_close_seq``) on the kernel's union; and for every other pattern
+the rounds of ``close`` (``_rounds``) from that union, without keeping
+them, with the kernel re-run after each round.  ``wsat percolate`` still
+runs ``close``, because it prints the round count.  Agreement with the
+round engine (confluence of the monotone automaton) and with
+``oracle.naive_close`` is enforced by differential tests, never assumed
+silently.
 
-The rounds test each candidate pair with ``find_completion``, the anchored
-search for a copy of H that the pair completes.  It runs one plan per arc
-orbit of H (``_SearchPlan``), and each plan compiles once, on its first
-search, into Python functions of nested ``while`` loops, one loop per
-pattern vertex past the anchor, over bitmask candidates.  CPython 3.10 to
-3.12 allow at most 20 nested loops in a function, so a plan of more than
-22 vertices is split into functions of at most 20 loops each, the
-innermost loop of one calling the next.
+Each round tests every non-edge of the graph, with no candidate filter,
+by ``find_completion``, the anchored search for a copy of H that the pair
+completes.  (A filter to pairs near the last round's edges was exact, but
+it skipped no search on the bench workloads, and where it skipped some,
+below the percolation threshold, it saved no time.)  The search runs one
+plan per arc orbit of H (``_SearchPlan``), and each plan compiles once, on
+its first search, into Python functions of nested ``while`` loops, one
+loop per pattern vertex past the anchor, over bitmask candidates.  CPython
+3.10 to 3.12 allow at most 20 nested loops in a function, so a plan of
+more than 22 vertices is split into functions of at most 20 loops each,
+the innermost loop of one calling the next.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .graphs import Graph, InputError, bits, canon_edge, host_pair, is_connected
+from .graphs import Graph, InputError, bits, canon_edge, host_pair
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,6 @@ class _PatternInfo:
         self.n = h.n
         self.is_clique = h.is_complete() and h.n >= 2
         self.delta = h.min_degree()
-        self.connected = is_connected(h)
         self.plans = _arc_orbit_reps(h)
 
 
@@ -343,25 +344,17 @@ def _clique_close_seq(g: Graph, r: int) -> Graph:
             continue
         work.add_edge(u, v)
         # non-edge pairs whose completion could use the fresh edge (u,v),
-        # as pure mask arithmetic
-        m = rows[v] & ~rows[u] & ~(1 << u)
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            e = (u, w) if u < w else (w, u)
-            if e not in inq:
-                pending.append(e)
-                inq.add(e)
-        m = rows[u] & ~rows[v] & ~(1 << v)
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            e = (v, w) if v < w else (w, v)
-            if e not in inq:
-                pending.append(e)
-                inq.add(e)
+        # as pure mask arithmetic; both masks are taken before any push
+        for a, m in ((u, rows[v] & ~rows[u] & ~(1 << u)),
+                     (v, rows[u] & ~rows[v] & ~(1 << v))):
+            while m:
+                b = m & -m
+                w = b.bit_length() - 1
+                m ^= b
+                e = (a, w) if a < w else (w, a)
+                if e not in inq:
+                    pending.append(e)
+                    inq.add(e)
         m = cn
         while m:
             b = m & -m
@@ -470,17 +463,17 @@ def _rounds(
 ) -> Iterator[list[tuple[tuple[int, int], Embedding]]]:
     """The rounds of ``close``, run in place on ``work``.
 
-    Each round tests its candidate pairs against the graph of the round
-    before, then commits them all; the generator yields the certified edges
-    of each committed round, with ``work`` already holding them.
+    Each round tests every non-edge against the graph of the round before,
+    then commits the ones that complete a copy; the generator yields the
+    certified edges of each committed round, with ``work`` already holding
+    them, and stops after the first round that adds nothing.
     """
     if info.n < 2:
         raise InputError("pattern needs at least 2 vertices")
     h = info.graph
-    candidates = list(work.non_edges())
-    while candidates:
+    while True:
         added: list[tuple[tuple[int, int], Embedding]] = []
-        for pair in candidates:
+        for pair in work.non_edges():
             emb = find_completion(work, pair, h)
             if emb is not None:
                 added.append((pair, emb))
@@ -489,37 +482,6 @@ def _rounds(
         for pair, _ in added:
             work.add_edge(*pair)
         yield added
-        candidates = _next_candidates(work, info, [p for p, _ in added])
-
-
-def _next_candidates(
-    work: Graph, info: _PatternInfo, new_edges: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Pairs worth re-testing after a round commit.
-
-    A new copy through a pair must contain a fresh edge, whose endpoints lie
-    within v_H - 1 hops (along copy edges, all present now) of one of the
-    pair's endpoints; so only pairs touching the dilated ball around fresh
-    edges can newly complete.  Disconnected patterns fall back to a full
-    re-scan.
-    """
-    if not info.connected:
-        return list(work.non_edges())
-    ball = 0
-    for u, v in new_edges:
-        ball |= 1 << u | 1 << v
-    for _ in range(info.n - 1):
-        grown = ball
-        for w in bits(ball):
-            grown |= work.rows[w]
-        if grown == ball:
-            break
-        ball = grown
-    return [
-        (u, v)
-        for u, v in work.non_edges()
-        if (1 << u | 1 << v) & ball
-    ]
 
 
 def _closure_holds(
@@ -528,7 +490,12 @@ def _closure_holds(
     """Does the closure of g hold the absent pair ``target``, or, for target
     None, is it complete?
 
-    The clique kernel (``_clique_kernel``) runs first when delta_H >= 1.
+    The degree rule comes first: a vertex of degree below
+    min(delta_H - 1, n - 1) that misses an edge never gains one, since a
+    completing copy needs delta_H - 1 present edges at it.  It looks at
+    every vertex for target None and at the target's two ends otherwise,
+    and refutes the closure when one of them is that sparse.
+    The clique kernel (``_clique_kernel``) runs next when delta_H >= 1.
     It answers yes once a clique spans or its union U holds the target (or
     is complete); it spans at once for K_2, and for K_3 and K_4 U is the
     closure, so that settles them.
@@ -536,6 +503,9 @@ def _closure_holds(
     Every other pattern runs the rounds of ``close`` (``_rounds``) from U,
     without keeping them, and re-runs the kernel after each round.
     """
+    ends = g.rows if target is None else [g.rows[x] for x in target]
+    if min(map(int.bit_count, ends)) < min(info.delta - 1, g.n - 1):
+        return False
     full = (1 << g.n) - 1
 
     def holds(rows: list[int] | None) -> bool:
@@ -567,35 +537,25 @@ def _closure_holds(
 def percolates(g: Graph, h: Graph) -> bool:
     """True iff the closure of g under h-bootstrap is complete.
 
-    Every pattern first takes the degree rule: a vertex of degree below
-    delta_H - 1 that misses an edge can never gain one (a completing copy
-    would need delta_H - 1 present edges at it), which refutes percolation.
-    Past it, every pattern takes the shared path of
-    ``closure_contains_edge`` (``_closure_holds``): the clique kernel, which
-    spans at once for K_2 and gives the components for K_3 and the closure
-    for K_4, then the work queue for K_r, r >= 5, or the rounds of
-    ``close`` for the rest.
+    Every pattern takes the path it shares with ``closure_contains_edge``
+    (``_closure_holds``): the degree rule over every vertex, then the
+    clique kernel, which spans at once for K_2 and gives the components for
+    K_3 and the closure for K_4, then the work queue for K_r, r >= 5, or
+    the rounds of ``close`` for the rest.
     """
-    info = pattern_info(h)
-    need = min(info.delta - 1, g.n - 1)
-    if min(map(int.bit_count, g.rows)) < need:
-        return False
-    return _closure_holds(g, info, None)
+    return _closure_holds(g, pattern_info(h), None)
 
 
 def closure_contains_edge(g: Graph, h: Graph, target: tuple[int, int]) -> bool:
     """Does ``target`` end up in the closure of g?
 
-    A present target is in it.  An endpoint of degree below delta_H - 1
-    refutes it (the degree rule of ``percolates``).  Otherwise the shared
-    path of ``percolates`` (``_closure_holds``) decides: the clique kernel,
-    then the work queue for K_r, r >= 5, or the rounds of ``close`` for
-    other patterns, stopped once the target is present.
+    A present target is in it.  Otherwise the path shared with
+    ``percolates`` (``_closure_holds``) decides: the degree rule at the
+    target's ends, the clique kernel, then the work queue for K_r, r >= 5,
+    or the rounds of ``close`` for other patterns, stopped once the target
+    is present.
     """
     u, v = target = host_pair(g, target)
     if g.has_edge(u, v):
         return True
-    info = pattern_info(h)
-    if min(g.degree(u), g.degree(v)) < info.delta - 1:
-        return False
-    return _closure_holds(g, info, target)
+    return _closure_holds(g, pattern_info(h), target)

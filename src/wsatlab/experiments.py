@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .closure import percolates
 from .graphs import Graph, InputError
 from .ladders import Ladder, build_ladder, count_induced_ladders_at
-from .patterns import PatternStats, analyze
+from .patterns import PatternStats
 
 _MASK64 = (1 << 64) - 1
 _PHI64 = 0x9E3779B97F4A7C15
@@ -302,6 +302,16 @@ class PcEstimate:
 MAX_PROBES = 48
 
 
+def _lambda(pattern: Graph) -> float | None:
+    """lambda = (e_H - 2)/(v_H - 2), the exponent of the n^(-1/lambda)
+    marker, from the pattern's vertex and edge counts alone, or None where
+    it is undefined or not positive."""
+    v_h, e_h = pattern.n, pattern.edge_count
+    if v_h < 3 or e_h <= 2:
+        return None
+    return (e_h - 2) / (v_h - 2)
+
+
 def bisect_pc(
     n: int,
     pattern: Graph,
@@ -312,17 +322,17 @@ def bisect_pc(
 ) -> PcEstimate:
     """Bisection for the median percolation point, exploiting monotonicity
     of the percolation event in p.  The initial bracket is grown by
-    doubling/halving from the n^(-1/lambda) theory marker.  A search runs at
-    most ``MAX_PROBES`` (48) probes of ``trials`` trials each; one that
-    stops at the cap reports the midpoint of its bracket."""
+    doubling/halving from the n^(-1/lambda) theory marker, with lambda =
+    (e_H - 2)/(v_H - 2) read from the pattern's counts (so a pattern of any
+    size can be searched), or from p = 0.5 where lambda is undefined or not
+    positive.  A search runs at most ``MAX_PROBES`` (48) probes of
+    ``trials`` trials each; one that stops at the cap reports the midpoint
+    of its bracket."""
     _check_sizes(n, trials)
     if not tolerance >= 0:  # NaN included
         raise InputError("tolerance >= 0 required")
-    stats = analyze(pattern)
-    if stats.lam is not None and stats.lam > 0:
-        start = min(0.9, float(n) ** (-1.0 / float(stats.lam)))
-    else:
-        start = 0.5
+    lam = _lambda(pattern)
+    start = min(0.9, float(n) ** (-1.0 / lam)) if lam is not None else 0.5
     probes: list[tuple[float, int, int, float]] = []
 
     def probe(p: float) -> float:
@@ -399,12 +409,9 @@ def expected_ladder_count(n: int, p: float, ladder: Ladder) -> float:
         raise InputError("ladder does not fit in the host")
     e_ladder = ladder.graph.edge_count           # lambda*k + 1
     non_edges = (k + 2) * (k + 1) // 2 - e_ladder
-    if p <= 0.0:
+    # the base pair is absent, so non_edges >= 1 and p = 1 leaves no ladder
+    if p <= 0.0 or p >= 1.0:
         return 0.0
-    if p >= 1.0:
-        return 0.0 if non_edges > 0 else math.exp(
-            math.lgamma(n - 1) - math.lgamma(n - 1 - k)
-        )
     log_val = (
         math.lgamma(n - 1)
         - math.lgamma(n - 1 - k)
@@ -435,7 +442,9 @@ def ladder_base_experiment(
     1 - 1/(alpha^(v_H - 2) - 1), or None where alpha^(v_H - 2) <= 1 leaves
     it undefined, and the admissibility constraints on (alpha, beta),
     reported, not enforced; their upper bound (v_H - 2) log alpha is None at
-    alpha = 0, where no (alpha, beta) satisfies them.
+    alpha = 0, where no (alpha, beta) satisfies them.  lambda =
+    (e_H - 2)/(v_H - 2) comes from the pattern's counts, and (alpha, beta)
+    refuses a pattern with lambda = 0.
     """
     _check_sizes(n, trials)
     given = (alpha is not None, beta is not None, p is not None, height is not None)
@@ -447,20 +456,24 @@ def ladder_base_experiment(
             raise InputError("alpha >= 0 required")
         if not beta > 0:  # NaN included
             raise InputError("beta > 0 required")
-        stats = analyze(pattern)
-        assert stats.lam is not None
-        lam = float(stats.lam)
-        p = (alpha / n) ** (1.0 / lam)
         height = max(1, round(beta * math.log(n)))
-        denom = alpha ** (stats.v_h - 2) - 1
+    # built before p, so that either parameter pair refuses a pattern
+    # without two non-incident edges here
+    ladder = build_ladder(pattern, height)
+    if alpha is not None:
+        lam = _lambda(pattern)
+        if lam is None:
+            raise InputError("alpha needs lambda = (e_H - 2)/(v_H - 2) > 0")
+        p = (alpha / n) ** (1.0 / lam)
+        v_h = pattern.n
+        denom = alpha ** (v_h - 2) - 1
         report["gamma"] = 1.0 - 1.0 / denom if denom > 0 else None
         lo = math.log(2)
         mid = 1.0 / (lam * beta)
-        hi = (stats.v_h - 2) * math.log(alpha) if alpha > 0 else None
+        hi = (v_h - 2) * math.log(alpha) if alpha > 0 else None
         report["constraints_satisfied"] = hi is not None and lo < mid < hi
         report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
                                        "vh2_log_alpha": hi}
-    ladder = build_ladder(pattern, height)
     formula = expected_ladder_count(n, p, ladder)
     tasks = [(n, p, mix_seed(master_seed, t), ladder) for t in range(trials)]
     counts = _map_trials(_ladder_count_trial, tasks, workers)

@@ -255,6 +255,15 @@ def test_usage_errors(capsys, path4_file):
     assert exc.value.code == 2
 
 
+def test_ladder_exp_refuses_a_pattern_without_a_ladder(capsys):
+    """K_2 has no pair of non-incident edges: a usage error with either
+    parameter pair, not an internal one."""
+    for params in (["--alpha", "2", "--beta", "0.3"], ["--p", "0.5", "--height", "1"]):
+        code, out, err = run(capsys, "ladder-exp", "--n", "20", "--pattern", "K2",
+                             "--trials", "3", *params)
+        assert code == 2 and out == "" and "non-incident edges" in err
+
+
 def test_ladder_exp_json_is_strict(capsys):
     """Values undefined for 0 <= alpha <= 1 are null, not NaN or Infinity."""
 

@@ -25,7 +25,7 @@ from wsatlab.graphs import (
     make_complete_bipartite,
     make_double_barbell,
 )
-from wsatlab.oracle import naive_close
+from wsatlab.oracle import _completes_somewhere, naive_close
 from wsatlab.experiments import sample_gnp
 from wsatlab.ladders import build_ladder, count_induced_ladders_at
 from wsatlab.patterns import relabel
@@ -435,6 +435,50 @@ def test_percolates_noncomplete_pattern():
     for seed in range(20):
         g = sample_gnp(7, 0.4, 700 + seed)
         assert percolates(g, c4) == naive_close(g, c4).is_complete()
+
+
+def assert_rounds_match_oracle(g: Graph, h: Graph) -> None:
+    """Each round of ``close`` adds exactly the non-edges, in order, that
+    the oracle's exhaustive search accepts against the graph of the round
+    before, and the round after the last one would add nothing."""
+    work = g.copy()
+    for record in close(g, h).rounds:
+        expected = [p for p in work.non_edges() if _completes_somewhere(work, p, h)]
+        assert [pair for pair, _ in record.added] == expected
+        for pair in expected:
+            work.add_edge(*pair)
+    assert not any(_completes_somewhere(work, p, h) for p in work.non_edges())
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", *SMALL_PATTERNS])
+def test_rounds_match_oracle_round_by_round_all_graphs(name):
+    h = {"K3": make_clique(3), "K4": make_clique(4), **SMALL_PATTERNS}[name]
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert_rounds_match_oracle(g, h)
+
+
+def with_settled_part(g: Graph, part: Graph) -> Graph:
+    """g, a disjoint copy of ``part`` and one isolated vertex."""
+    return Graph.from_edges(
+        g.n + part.n + 1,
+        [*g.edges(), *((g.n + a, g.n + b) for a, b in part.edges())],
+    )
+
+
+def test_rounds_match_oracle_round_by_round_long_hosts():
+    """Hosts that keep closing after a part of them has settled: the pairs
+    between the settled part and the isolated vertex lie far from every
+    edge added after the first round."""
+    path8 = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert_rounds_match_oracle(path8, make_clique(3))
+    assert_rounds_match_oracle(with_settled_part(path8, path3), make_clique(3))
+    ladder = build_ladder(make_clique(4), 4).graph
+    k4_minus_edge = SMALL_PATTERNS["diamond"]
+    assert_rounds_match_oracle(ladder, make_clique(4))
+    assert_rounds_match_oracle(with_settled_part(ladder, k4_minus_edge), make_clique(4))
+    assert len(close(ladder, make_clique(4)).rounds) == 4
 
 
 class ExitCounter:

@@ -282,6 +282,22 @@ def test_bisect_pc_k3_matches_connectivity_threshold():
     assert all(t == 120 for _, _, t, _ in est.probes)
 
 
+def test_bisect_pc_starts_from_lambda_of_any_pattern_size():
+    """lambda comes from the pattern's counts, so a pattern too large for
+    the exhaustive invariants of ``analyze`` is searched too."""
+    k13 = make_clique(13)
+    est = bisect_pc(16, k13, trials=5, tolerance=0.2, master_seed=1)
+    lam = (k13.edge_count - 2) / (k13.n - 2)  # 76/11
+    assert est.probes[0][0] == min(0.9, 16.0 ** (-1.0 / lam))
+    assert 0.0 < est.p_hat <= 1.0
+
+
+def test_ladder_experiment_refuses_alpha_without_positive_lambda():
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(InputError, match="lambda"):
+        ladder_base_experiment(20, two_k2, 3, 1, alpha=2.0, beta=0.3)
+
+
 def test_bisect_pc_deterministic_across_workers():
     a = bisect_pc(30, make_clique(3), trials=60, tolerance=0.2, master_seed=5,
                   workers=1)
