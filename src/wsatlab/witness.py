@@ -11,8 +11,11 @@ The closure trace drives two bookkeeping passes:
   per-component edge bounds can be verified after every step.
 
 Both passes read one certificate index per (trace, pattern): each added
-edge's completing copy as canonical edges, support and bitmasks, built on
-first use and kept on the trace.
+edge's completing copy as its support and bitmasks, built on first use and
+kept on the trace.
+
+The witness-closure check closes each W_e as a graph on the host's vertex
+set, since a completing copy may use vertices that no witness edge touches.
 """
 
 from __future__ import annotations
@@ -60,9 +63,7 @@ class REAStep:
 @dataclass
 class REATrace:
     target: Edge
-    steps: list[REAStep]
-    red_edges: list[Edge]
-    witness_edges: frozenset[Edge]
+    steps: list[REAStep]         # one per placed copy; empty for an initial edge
 
 
 # -- certificate index --------------------------------------------------------
@@ -73,7 +74,6 @@ class _Certificate(NamedTuple):
     completing copy.  Bitmasks over edges use the index's edge ids."""
 
     emb: Embedding
-    copy: tuple[Edge, ...]      # canonical copy edges, in pattern edge order
     support: frozenset[Edge]    # copy edges other than the anchor image
     pending: tuple[Edge, ...]   # sorted support edges absent from the initial graph
     vertices: int               # bitmask of the copy's host vertices
@@ -85,8 +85,7 @@ class _Certificate(NamedTuple):
 class _CertificateIndex(NamedTuple):
     key: tuple
     certs: dict[Edge, _Certificate]   # in trace order
-    id_of: dict[Edge, int]            # dense edge ids, in order of first use
-    edge_of: list[Edge]
+    edge_of: list[Edge]               # dense edge ids, in order of first use
 
 
 def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex:
@@ -107,10 +106,10 @@ def _build_index(trace: ClosureTrace, h: Graph, key: tuple) -> _CertificateIndex
                 edges |= bit
                 if not initial.has_edge(*f):
                     open_ |= bit
-            certs[e] = _Certificate(emb, copy, support, pending,
+            certs[e] = _Certificate(emb, support, pending,
                                     vertex_mask(emb.mapping), edges, open_,
                                     1 << ids.setdefault(e, len(ids)))
-    return _CertificateIndex(key, certs, ids, list(ids))
+    return _CertificateIndex(key, certs, list(ids))
 
 
 def _certificates(trace: ClosureTrace, h: Graph) -> _CertificateIndex:
@@ -135,16 +134,11 @@ def close_with_witnesses(
 ) -> tuple[ClosureTrace, dict[Edge, WitnessRecord]]:
     stats = analyze(h)
     trace = close(g, h)
-    witnesses: dict[Edge, frozenset[Edge]] = {
-        e: frozenset([e]) for e in g.edges()
-    }
+    records = {e: _make_record(e, frozenset([e]), stats) for e in g.edges()}
     for edge, cert in _certificates(trace, h).certs.items():
-        witnesses[edge] = frozenset().union(
-            *(witnesses[f] for f in cert.support)
+        records[edge] = _make_record(
+            edge, frozenset().union(*(records[f].edges for f in cert.support)), stats
         )
-    records = {
-        e: _make_record(e, w, stats) for e, w in witnesses.items()
-    }
     return trace, records
 
 
@@ -198,14 +192,15 @@ def rea_replay(
 
     Children are expanded in lexicographic edge order; the red edge of step
     j is the dynamics-added edge whose completing copy is placed at step j.
+    An initial target gives a trace with no steps; a target outside the
+    closure raises ``ReplayError``.
     """
     target = canon_edge(*target)
     initial = trace.initial
     if target not in witnesses:
         raise ReplayError(f"{target} not in the closure")
     if initial.has_edge(*target):
-        return REATrace(target=target, steps=[], red_edges=[],
-                        witness_edges=witnesses[target].edges)
+        return REATrace(target=target, steps=[])
     index = _certificates(trace, h)
     certs = index.certs
 
@@ -241,7 +236,7 @@ def rea_replay(
             raise ReplayError(f"red edge {red} already present at step {j}")
         missing = cert.open & ~cert.bit & ~placed
         if missing:
-            f = next(f for f in cert.copy if missing >> index.id_of[f] & 1)
+            f = index.edge_of[(missing & -missing).bit_length() - 1]
             raise ReplayError(f"step {j}: support edge {f} unavailable")
 
         touched = [c for c in comps.values() if c.edges & cert.edges]
@@ -301,12 +296,7 @@ def rea_replay(
     rebuilt = {index.edge_of[i] for i in bits(placed & ~red_mask)}
     if rebuilt != witnesses[target].edges:
         raise ReplayError("replay does not reproduce the stored witness")
-    return REATrace(
-        target=target,
-        steps=steps,
-        red_edges=schedule,
-        witness_edges=witnesses[target].edges,
-    )
+    return REATrace(target=target, steps=steps)
 
 
 # -- invariant checks ----------------------------------------------------------
@@ -317,23 +307,25 @@ def check_witness_closures(
 ) -> Report:
     """Every target must be re-added when its witness alone is closed.
 
-    The check closes each witness from scratch and never reads ``trace``,
-    which stays in the signature for existing callers.
+    Each witness is closed as a graph on the ``trace.initial.n`` vertices of
+    the host, not on the vertices its edges touch: a completing copy may
+    place an isolated vertex of H (K_3 + K_1) on a vertex outside the
+    witness, and with a vertex of degree 1 in H (K_{1,2}, the paw) the
+    witness may miss an end of its target.  For delta_H >= 2 the verdict is
+    the same on either vertex set, since a vertex with no witness edge is
+    below the degree rule and never gains an edge.
     """
+    n = trace.initial.n
     rep = Report(name="witness-closure")
     for target, rec in witnesses.items():
         rep.checked += 1
         if target in rec.edges:
             continue
-        spanned = sorted({v for e in rec.edges for v in e})
-        pos = {v: i for i, v in enumerate(spanned)}
-        rows = [0] * len(spanned)
+        rows = [0] * n
         for a, b in rec.edges:
-            rows[pos[a]] |= 1 << pos[b]
-            rows[pos[b]] |= 1 << pos[a]
-        sub = Graph.from_rows(len(spanned), rows)
-        t = (pos[target[0]], pos[target[1]])
-        if not closure_contains_edge(sub, h, t):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        if not closure_contains_edge(Graph.from_rows(n, rows), h, target):
             rep.violations.append(f"target {target}: not in closure of witness")
     return rep
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from wsatlab.closure import RoundRecord, close
-from wsatlab.graphs import Graph, make_clique
+from wsatlab.graphs import Graph, enumerate_labeled_graphs, make_clique, make_complete_bipartite
 from wsatlab.ladders import build_ladder
 from wsatlab.patterns import analyze
 from wsatlab.experiments import mix_seed, sample_gnp, theory_markers
@@ -24,6 +24,8 @@ from wsatlab.witness import (
     rea_replay,
 )
 from wsatlab.witness import _certificates
+
+from test_closure import SMALL_PATTERNS
 
 
 def path4():
@@ -75,11 +77,28 @@ def test_rea_replay_path4():
     trace, recs = close_with_witnesses(g, h)
     rea = rea_replay((0, 3), recs, trace, h)
     assert len(rea.steps) == 2
-    assert set(rea.red_edges) == {s.red_edge for s in rea.steps}
-    # one red edge per copy, red edges are exactly the non-witness edges used
-    assert rea.witness_edges == recs[(0, 3)].edges
+    # one red edge per copy, the target's last; no red edge is a witness edge
+    red = [s.red_edge for s in rea.steps]
+    assert red[-1] == (0, 3) and not set(red) & recs[(0, 3)].edges
     # final step's component spans all four vertices
     assert rea.steps[-1].component_vertices == 4
+
+
+def test_rea_replay_of_an_initial_edge_has_no_steps():
+    g = path4()
+    h = make_clique(3)
+    trace, recs = close_with_witnesses(g, h)
+    rea = rea_replay((2, 1), recs, trace, h)
+    assert rea.target == (1, 2) and rea.steps == []
+
+
+def test_rea_replay_refuses_a_target_outside_the_closure():
+    # two disjoint edges: K_3 adds nothing
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    h = make_clique(3)
+    trace, recs = close_with_witnesses(g, h)
+    with pytest.raises(ReplayError, match=re.escape("(0, 2) not in the closure")):
+        rea_replay((2, 0), recs, trace, h)
 
 
 def test_rea_component_bound_fields():
@@ -144,6 +163,24 @@ def test_aizenman_lebowitz_on_closing_run():
     assert rep.ok, rep.violations
     sizes = rep.details["sizes"]
     assert max(sizes) == 6 - 2  # the longest witness spans the path
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "K1,2", "K3+K1", *SMALL_PATTERNS])
+def test_witness_closures_hold_on_every_small_graph(name):
+    # witnesses of patterns with delta_H <= 1 may use host vertices outside
+    # their edges, or miss an end of their target
+    h = {
+        "K3": make_clique(3),
+        "K4": make_clique(4),
+        "K1,2": make_complete_bipartite(1, 2),
+        "K3+K1": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+        **SMALL_PATTERNS,
+    }[name]
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            trace, recs = close_with_witnesses(g, h)
+            rep = check_witness_closures(recs, h, trace)
+            assert rep.ok, (n, g.rows, rep.violations)
 
 
 # -- replay pinned at the reference, and tampered inputs -----------------------
@@ -232,8 +269,8 @@ def test_certificate_index_is_keyed_by_pattern():
     # K_4 minus an edge has the same vertex count but five copy edges
     other = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert _certificates(trace, other) is not index
-    assert {len(c.copy) for c in trace.certificate_index.certs.values()} == {5}
-    assert {len(c.copy) for c in _certificates(trace, h).certs.values()} == {6}
+    assert {c.edges.bit_count() for c in trace.certificate_index.certs.values()} == {5}
+    assert {c.edges.bit_count() for c in _certificates(trace, h).certs.values()} == {6}
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -286,6 +323,5 @@ def test_component_bound_is_strict_at_the_bound(r):
                    tree_step=True, component_vertices=23, component_nonred=0)
     bound = stats.lambda_star * (23 - stats.v_h) + stats.e_h - 1
     for nonred, ok in ((math.ceil(bound), True), (math.ceil(bound) - 1, False)):
-        rea = REATrace(target=(0, 1), steps=[dataclasses.replace(step, component_nonred=nonred)],
-                       red_edges=[], witness_edges=frozenset())
+        rea = REATrace(target=(0, 1), steps=[dataclasses.replace(step, component_nonred=nonred)])
         assert check_component_bound(rea, stats).ok == ok
