@@ -17,9 +17,10 @@ other patterns it is a subgraph of the closure.  ``percolates`` and
 ``closure_contains_edge`` check their input and share one path
 (``_closure_holds``): the degree rule, over every vertex or at the target's
 ends; the kernel; then for K_r, r >= 5, the sequential work queue
-(``_clique_close_seq``) on the kernel's union; and for every other pattern
-the rounds of ``close`` (``_rounds``) from that union, without keeping
-them, with the kernel re-run after each round.  ``wsat percolate`` still
+(``_clique_close_seq``) on the kernel's union, with its pending pairs in
+one bitmask per vertex, about n^2/8 bytes; and for every other pattern the
+rounds of ``close`` (``_rounds``) from that union, without keeping them,
+with the kernel re-run after each round.  ``wsat percolate`` still
 runs ``close``, because it prints the round count.  Agreement with the
 round engine (confluence of the monotone automaton) and with
 ``oracle.naive_close`` is enforced by differential tests, never assumed
@@ -40,7 +41,6 @@ the innermost loop of one calling the next.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -327,47 +327,44 @@ def _mask_has_clique(rows: list[int], mask: int, k: int) -> bool:
 def _clique_close_seq(g: Graph, r: int) -> Graph:
     """Sequential work-queue closure for H = K_r.
 
-    The final graph coincides with the round-synchronous closure by
-    confluence (differentially tested).
+    Bit y of ``todo[x]`` means the pair xy waits for its test, so the
+    queue needs about n^2/8 bytes.  Every non-edge starts at its lower end;
+    the lowest vertex with work tests its pairs in ascending order, and
+    skips a pair that is already an edge, as it can wait at both ends.
+    Adding uv pushes uw for w in N(v) - N[u], vw likewise, and the
+    non-edges inside N(u) & N(v) at their lower ends.  The final graph is
+    the round-synchronous closure by confluence (differentially tested).
     """
     work = g.copy()
     rows = work.rows
-    # every queued pair is a non-edge: pushes are non-edges, inq holds a
-    # pair once, and only the pair's own pop adds it
-    pending = deque(work.non_edges())
-    inq = set(pending)
-    while pending:
-        u, v = pending.popleft()
-        inq.discard((u, v))
-        cn = rows[u] & rows[v]
-        if not _mask_has_clique(rows, cn, r - 2):
-            continue
-        work.add_edge(u, v)
-        # non-edge pairs whose completion could use the fresh edge (u,v),
-        # as pure mask arithmetic; both masks are taken before any push
-        for a, m in ((u, rows[v] & ~rows[u] & ~(1 << u)),
-                     (v, rows[u] & ~rows[v] & ~(1 << v))):
-            while m:
-                b = m & -m
-                w = b.bit_length() - 1
-                m ^= b
-                e = (a, w) if a < w else (w, a)
-                if e not in inq:
-                    pending.append(e)
-                    inq.add(e)
-        m = cn
+    full = (1 << work.n) - 1
+    todo = [full & ~row & -(2 << x) for x, row in enumerate(rows)]
+    busy = full
+    while busy:
+        b = busy & -busy
+        u = b.bit_length() - 1
+        busy ^= b
+        m, todo[u] = todo[u], 0
         while m:
-            b = m & -m
-            x = b.bit_length() - 1
-            m ^= b
-            mm = cn & ~rows[x] & -(2 << x)
-            while mm:
-                bb = mm & -mm
-                y = bb.bit_length() - 1
-                mm ^= bb
-                if (x, y) not in inq:
-                    pending.append((x, y))
-                    inq.add((x, y))
+            bv = m & -m
+            m ^= bv
+            todo[u] &= ~bv
+            if rows[u] & bv:
+                continue
+            v = bv.bit_length() - 1
+            cn = rows[u] & rows[v]
+            if not _mask_has_clique(rows, cn, r - 2):
+                continue
+            work.add_edge(u, v)
+            todo[u] |= rows[v] & ~rows[u] & ~b
+            todo[v] |= rows[u] & ~rows[v] & ~bv
+            busy |= b | bv | cn
+            c = cn
+            while c:
+                bx = c & -c
+                x = bx.bit_length() - 1
+                c ^= bx
+                todo[x] |= cn & ~rows[x] & -(2 << x)
     return work
 
 

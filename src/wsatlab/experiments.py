@@ -18,10 +18,12 @@ pool kept for the life of the process (``_map_trials``); every other map
 runs in-process.  The pool is forked after loading numpy, but not
 numpy.random, in the parent: the workers inherit numpy instead of each
 importing it, and only they draw, so numpy.random stays out of the
-parent.  The workers stop at interpreter exit, through
-``concurrent.futures``' own exit hook, and each also ends once the parent
-has ended, so a parent that skips its exit hooks (``os._exit``, a signal)
-leaves none behind.
+parent.  It forks on every platform that has the fork start method, also
+where another method is the default (Linux from Python 3.14 on), and
+takes the platform default elsewhere.  The workers stop at interpreter
+exit, through ``concurrent.futures``' own exit hook, and each also ends
+once the parent has ended, so a parent that skips its exit hooks
+(``os._exit``, a signal) leaves none behind.
 """
 
 from __future__ import annotations
@@ -200,7 +202,12 @@ def _map_trials(fn, items: list, workers: int | None) -> list:
         # Forked workers inherit numpy from here rather than each importing
         # it; numpy.random stays out of the parent, which never draws.
         importlib.import_module("numpy")
-        _pool = (ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent),
+        import multiprocessing
+
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork") if fork else None
+        _pool = (ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                     initializer=_end_with_parent),
                  workers)
     chunk = max(1, len(items) // (4 * workers))
     try:
@@ -389,7 +396,9 @@ def bisect_pc(
 
 def theory_markers(n: int, stats: PatternStats) -> dict[str, float]:
     """Unit-constant marker values: n^(-1/lambda) and the general lower-bound
-    order n^(-1/lambda*) (log n)^(1/lambda*-1)."""
+    order n^(-1/lambda*) (log n)^(1/lambda*-1), for n >= 2, where log n > 0."""
+    if n < 2:
+        raise InputError("n >= 2 required")
     if stats.lam is None or stats.lam <= 0:
         raise InputError("lambda undefined for this pattern")
     assert stats.lambda_star is not None
@@ -499,9 +508,13 @@ def ladder_base_experiment(
 
 
 def fit_exponent(estimates: list[tuple[int, float]]) -> tuple[float, float]:
-    """Least-squares slope of log p_hat against log n, with standard error."""
+    """Least-squares slope of log p_hat against log n, with standard error;
+    every n and p_hat must be positive (``bisect_pc`` reports p_hat = 0
+    where everything percolates)."""
     if len(estimates) < 3:
         raise InputError("need at least 3 points")
+    if not all(n > 0 and p > 0 for n, p in estimates):  # NaN included
+        raise InputError("every n and p_hat must be positive")
     import numpy as np
 
     xs = np.log([float(n) for n, _ in estimates])

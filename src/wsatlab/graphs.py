@@ -338,6 +338,8 @@ def parse_graph6(text: str) -> Graph:
         raise InputError(
             f"graph6 body length {len(body)}, expected {(need + 5) // 6}"
         )
+    # the pairs are distinct and in range, so the rows are set directly
+    rows = g.rows
     pairs = _g6_pairs(n)
     for ch in body:
         c = ord(ch)
@@ -349,5 +351,7 @@ def parse_graph6(text: str) -> Graph:
             if group >> k & 1:
                 if pair is None:
                     raise InputError("nonzero padding in graph6 body")
-                g.add_edge(*pair)
+                u, v = pair
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
     return g

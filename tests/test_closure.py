@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from wsatlab.graphs import (
     make_double_barbell,
 )
 from wsatlab.oracle import _completes_somewhere, naive_close
-from wsatlab.experiments import sample_gnp
+from wsatlab.experiments import mix_seed, sample_gnp
 from wsatlab.ladders import build_ladder, count_induced_ladders_at
 from wsatlab.patterns import relabel
 
@@ -46,6 +47,11 @@ def test_find_completion_simple():
 def test_find_completion_none():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert find_completion(g, (0, 2), make_clique(4)) is None
+
+
+def test_find_completion_refuses_a_present_pair():
+    with pytest.raises(ValueError, match="already an edge"):
+        find_completion(make_clique(4), (2, 1), make_clique(3))
 
 
 # -- the anchored search against its reference ------------------------------
@@ -850,6 +856,20 @@ def test_kernel_and_queue_under_relabelling(r, n, p, seed, rnd):
     if r <= 4:
         assert kernel_closure(moved, r) == relabel(expected, perm)
     assert percolates(moved, make_clique(r)) == expected.is_complete()
+
+
+def test_clique_queue_memory_peak():
+    """The queue keeps its pending pairs as one bitmask per vertex, about
+    n^2/8 bytes (20 kB at n = 400), not an object per pair."""
+    g = sample_gnp(400, 0.06, mix_seed(11, 4))
+    union = Graph.from_rows(g.n, _clique_kernel(g, 4, 3))
+    tracemalloc.start()
+    try:
+        _clique_close_seq(union, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 # -- closure properties -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -170,6 +171,23 @@ def test_pool_parent_loads_numpy_but_not_numpy_random():
     assert fresh_modules(code, "numpy", "numpy.random") == ["numpy"]
 
 
+@pytest.mark.skipif(
+    not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+    reason="needs the fork and forkserver start methods")
+def test_pool_forks_where_the_default_is_forkserver():
+    # the workers are forks of the caller, made after numpy was loaded,
+    # also where the platform's default start method is another one
+    code = (
+        "import multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "from wsatlab import experiments\n"
+        "from wsatlab.graphs import make_clique\n"
+        "experiments.percolation_curve(12, make_clique(3), [0.3], 8, 1, workers=2)\n"
+        "assert experiments._pool[0].submit(os.getppid).result() == os.getpid()\n"
+    )
+    assert fresh_modules(code, "numpy.random") == []
+
+
 def test_sample_gnp_extremes_and_stats():
     assert sample_gnp(10, 0.0, 1).edge_count == 0
     assert sample_gnp(10, 1.0, 1).is_complete()
@@ -252,6 +270,25 @@ def test_fit_exponent_exact():
     assert stderr == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         fit_exponent(pts[:2])
+
+
+def test_theory_markers_refuse_n_below_2():
+    with pytest.raises(InputError, match="n >= 2"):
+        theory_markers(1, analyze(make_clique(4)))
+
+
+def test_fit_exponent_refuses_a_zero_p_hat():
+    # bisect_pc reports p_hat = 0 where every probe percolates
+    est = bisect_pc(10, make_clique(2), trials=20, tolerance=0.2, master_seed=3)
+    pts = [(n, 3.0 * n**-1.5) for n in (50, 100, 200)] + [(10, est.p_hat)]
+    with pytest.raises(InputError, match="positive"):
+        fit_exponent(pts)
+
+
+def test_fit_exponent_refuses_a_zero_n():
+    pts = [(n, 3.0 * n**-1.5) for n in (50, 100, 200)] + [(0, 0.5)]
+    with pytest.raises(InputError, match="positive"):
+        fit_exponent(pts)
 
 
 def test_monte_carlo_refuses_bad_sizes_up_front():

@@ -128,6 +128,11 @@ def test_count_requires_absent_base():
     assert count_induced_ladders_at(g, (0, 1), lad) == 0
 
 
+def test_count_on_a_host_smaller_than_the_ladder():
+    lad = build_ladder(make_clique(4), 2)
+    assert count_induced_ladders_at(Graph(lad.graph.n - 1), (0, 1), lad) == 0
+
+
 def test_induced_ladder_found_only_at_its_base():
     lad = build_ladder(make_clique(5), 2)
     assert count_induced_ladders_at(lad.graph, (0, 1), lad) > 0

@@ -126,6 +126,18 @@ def test_case2_bound_on_ladder():
     assert rep.details["bound"] == F(11 - 2, 5 - 2)
 
 
+def test_case2_bound_on_an_initial_edge():
+    h = make_clique(5)
+    stats = analyze(h)
+    lad = build_ladder(h, 2)
+    trace, recs = close_with_witnesses(lad.graph, h)
+    e = next(lad.graph.edges())
+    rea = rea_replay(e, recs, trace, h)
+    assert rea.steps == []
+    rep = check_case2_bound(rea, recs[e], stats)
+    assert rep.applicable and rep.checked == 0 and rep.ok
+
+
 def test_case2_inapplicable_for_k4():
     h = make_clique(4)
     stats = analyze(h)
