@@ -3,16 +3,18 @@
 Exit codes: 0 success, 1 verification violation (a failed red-edge replay
 included), 2 usage error (an ``InputError``, or a file that cannot be read
 or written), 3 internal error, any other exception, whose traceback goes to
-stderr.  JSON goes to stdout (CSV for curve data); diagnostics to stderr.
-Every JSON output carries a manifest sufficient to reproduce the run
-bit-for-bit; pass --no-timing to omit the wall-clock field when comparing
-outputs.
+stderr, and 141 (the shell's status after SIGPIPE) when the reader closes
+stdout early, with nothing on stderr.  JSON goes to stdout (CSV for curve
+data); diagnostics to stderr.  Every JSON output carries a manifest
+sufficient to reproduce the run bit-for-bit; pass --no-timing to omit the
+wall-clock field when comparing outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -431,7 +433,13 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args, started)
+        code = args.func(args, started)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

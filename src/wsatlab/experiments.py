@@ -466,8 +466,10 @@ def ladder_base_experiment(
         if not beta > 0:  # NaN included
             raise InputError("beta > 0 required")
         height = max(1, round(beta * math.log(n)))
-    # built before p, so that either parameter pair refuses a pattern
-    # without two non-incident edges here
+    # a ladder too large for the host is refused before it is built; then
+    # either parameter pair refuses a pattern without two non-incident edges
+    if (pattern.n - 2) * height > n - 2:
+        raise InputError("ladder does not fit in the host")
     ladder = build_ladder(pattern, height)
     if alpha is not None:
         lam = _lambda(pattern)

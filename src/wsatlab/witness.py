@@ -333,6 +333,13 @@ def check_witness_closures(
 def check_aizenman_lebowitz(
     witnesses: dict[Edge, WitnessRecord], trace: ClosureTrace, h: Graph
 ) -> Report:
+    """M_1 = v_H - 2 and M_{t+1} <= v_H - 2 + (e_H - 1) M_t, for M_t the
+    largest witness size of the first t rounds, and a witness size in every
+    [k, e_H k] up to the largest.  A first-round witness is its copy minus
+    the anchor pair; with delta_H >= 2 every copy vertex keeps an edge, so
+    it spans v_H vertices.  With delta_H <= 1 a vertex may lose its only
+    edge (a leaf of K_{1,2}) or have none (K_3 + K_1), and only
+    M_1 <= v_H - 2 holds, so only that is checked."""
     rep = Report(name="aizenman-lebowitz")
     v_h, e_h = h.n, h.edge_count
     maxima = [0]  # M_0
@@ -340,7 +347,8 @@ def check_aizenman_lebowitz(
         m_t = max(witnesses[e].size for e, _ in rnd.added)
         maxima.append(max(m_t, maxima[-1]))
     rep.checked = len(maxima) - 1
-    if len(maxima) > 1 and maxima[1] != v_h - 2:
+    if len(maxima) > 1 and (maxima[1] > v_h - 2 or
+                            h.min_degree() >= 2 and maxima[1] != v_h - 2):
         rep.violations.append(f"M_1 = {maxima[1]} != v_H - 2 = {v_h - 2}")
     for t in range(1, len(maxima) - 1):
         if maxima[t + 1] > v_h - 2 + (e_h - 1) * maxima[t]:

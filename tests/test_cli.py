@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +256,36 @@ def test_usage_errors(capsys, path4_file):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ladder", "build", "--pattern", "K5", "--height", "400", "--no-timing"],
+    ["analyze", "--pattern", "K4", "--no-timing"],
+])
+def test_closed_stdout_exits_141_quietly(argv, tmp_path):
+    """A reader that closes stdout early (``wsat ... | head -n 1``) ends the
+    run with 141, the shell's status after SIGPIPE, and nothing on stderr.
+    The 150 KB ladder meets the closed pipe while it is written, the small
+    analysis only when stdout is flushed."""
+    src = str(Path(main.__code__.co_filename).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte
+    err = tmp_path / "err"
+    try:
+        with err.open("w") as ferr:
+            proc = subprocess.run([sys.executable, "-m", "wsatlab.cli", *argv],
+                                  stdout=write_end, stderr=ferr, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, err.read_text()) == (141, "")
+
+
+def test_ladder_exp_refuses_a_ladder_too_large_for_the_host(capsys):
+    for params in (["--alpha", "2", "--beta", "3"], ["--p", "0.5", "--height", "10"]):
+        code, out, err = run(capsys, "ladder-exp", "--n", "10", "--pattern", "K4",
+                             "--trials", "3", *params)
+        assert (code, out, err) == (2, "", "error: ladder does not fit in the host\n")
 
 
 def test_ladder_exp_refuses_a_pattern_without_a_ladder(capsys):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from wsatlab import experiments
-from wsatlab.graphs import Graph, InputError, make_clique, serialize_graph6
+from wsatlab.graphs import (Graph, InputError, make_clique, make_complete_bipartite,
+                            serialize_graph6)
 from wsatlab.ladders import build_ladder
 from wsatlab.patterns import analyze
 from wsatlab.experiments import (
@@ -369,6 +370,27 @@ def test_ladder_experiment_builds_its_ladder_once(monkeypatch):
     monkeypatch.setattr(ladders, "build_ladder", counting_build)
     assert ladder_base_experiment(20, make_clique(4), 12, 23, p=0.3, height=1) == expected
     assert len(builds) == 1
+
+
+def test_ladder_experiment_refuses_a_ladder_too_large_before_building_it(monkeypatch):
+    """(v_H - 2) * height > n - 2 is refused before the ladder is built, so
+    a height of billions is a usage error, not a MemoryError; a pattern
+    without two non-incident edges is still refused."""
+
+    def no_build(*args):
+        raise AssertionError(f"build_ladder{args} called")
+
+    k4 = make_clique(4)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "build_ladder", no_build)
+        for params in ({"alpha": 2.0, "beta": 1e9}, {"alpha": 2.0, "beta": 3.0},
+                       {"p": 0.5, "height": 10**9}, {"p": 0.5, "height": 5}):
+            with pytest.raises(InputError, match="ladder does not fit in the host"):
+                ladder_base_experiment(10, k4, 3, 1, **params)
+    star = make_complete_bipartite(1, 3)
+    for params in ({"alpha": 2.0, "beta": 0.3}, {"p": 0.5, "height": 1}):
+        with pytest.raises(InputError, match="non-incident edges"):
+            ladder_base_experiment(10, star, 3, 1, **params)
 
 
 def test_ladder_experiment_alpha_beta_parameters():

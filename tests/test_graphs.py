@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ from wsatlab.graphs import (
     Graph,
     InputError,
     canon_edge,
+    enumerate_labeled_graphs,
     is_connected,
     make_clique,
     make_complete_bipartite,
@@ -194,3 +198,156 @@ def test_parse_graph6_fuzz(text):
     out = serialize_graph6(g)
     assert parse_graph6(out) == g
     assert serialize_graph6(parse_graph6(out)) == out
+
+
+# -- the column-at-a-time graph6 codec against the earlier per-pair one --------
+# ``ref_serialize_graph6`` and ``ref_parse_graph6`` are the codec as it was
+# before it read and wrote whole columns: one accumulator step per pair.
+
+
+def _ref_pairs(n):
+    return itertools.chain.from_iterable(
+        zip(range(v), itertools.repeat(v)) for v in range(1, n)
+    )
+
+
+def _ref_encode_n(n):
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+
+
+def _ref_decode_n(data):
+    if not data:
+        raise InputError("empty graph6 input")
+    c = ord(data[0])
+    if c != 126:
+        if not 63 <= c <= 126:
+            raise InputError(f"bad graph6 byte {c}")
+        return c - 63, 1
+    if len(data) < 4:
+        raise InputError("truncated graph6 header")
+    if data[1] == "~":
+        raise InputError("graph6 n > 258047 not supported")
+    n = 0
+    for ch in data[1:4]:
+        c = ord(ch)
+        if not 63 <= c <= 126:
+            raise InputError(f"bad graph6 byte {c}")
+        n = n << 6 | (c - 63)
+    return n, 4
+
+
+def ref_serialize_graph6(g):
+    out = [_ref_encode_n(g.n)]
+    acc = nbits = 0
+    for u, v in _ref_pairs(g.n):
+        acc = acc << 1 | (g.rows[u] >> v & 1)
+        nbits += 1
+        if nbits == 6:
+            out.append(chr(acc + 63))
+            acc = nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def ref_parse_graph6(text):
+    data = text.strip()
+    if data.startswith(">>graph6<<"):
+        data = data[10:]
+    n, pos = _ref_decode_n(data)
+    if n < 1:
+        raise InputError("graph6 graph must have n >= 1")
+    g = Graph(n)
+    need = n * (n - 1) // 2
+    body = data[pos:]
+    if len(body) != (need + 5) // 6:
+        raise InputError(
+            f"graph6 body length {len(body)}, expected {(need + 5) // 6}"
+        )
+    pairs = _ref_pairs(n)
+    for ch in body:
+        c = ord(ch)
+        if not 63 <= c <= 126:
+            raise InputError(f"bad graph6 byte {c}")
+        for k in range(5, -1, -1):
+            pair = next(pairs, None)
+            if (c - 63) >> k & 1:
+                if pair is None:
+                    raise InputError("nonzero padding in graph6 body")
+                g.rows[pair[0]] |= 1 << pair[1]
+                g.rows[pair[1]] |= 1 << pair[0]
+    return g
+
+
+def assert_codec_matches_reference(g):
+    text = serialize_graph6(g)
+    assert text == ref_serialize_graph6(g)
+    assert parse_graph6(text).rows == ref_parse_graph6(text).rows == g.rows
+
+
+def test_graph6_matches_reference_on_every_small_graph():
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            assert_codec_matches_reference(g)
+
+
+def test_graph6_matches_reference_on_seeded_gnp():
+    rng = random.Random(20)
+    for n in [1, 2, 62, 63, 64, 299, 300] + [rng.randint(3, 300) for _ in range(40)]:
+        p = rng.choice([0.0, 0.01, 0.1, 0.5, 0.9, 1.0])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        assert_codec_matches_reference(Graph.from_edges(n, edges))
+
+
+def error_message(parse, text):
+    with pytest.raises(InputError) as exc:
+        parse(text)
+    return str(exc.value)
+
+
+def test_graph6_errors_match_reference():
+    rng = random.Random(21)
+    texts = ["", "~", "~??", "~~???", "~?\x80?", "\x3e", "?", "C~~", "C"]
+    for n in (5, 7, 12, 63, 100):
+        good = serialize_graph6(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]))
+        head = len(_ref_encode_n(n))
+        body = good[head:]
+        for bad in ("\x3e", " ", "\x7f", "\u20ac"):
+            for at in (0, len(body) // 2, len(body) - 1):
+                texts.append(good[:head + at] + bad + good[head + at + 1:])
+        texts += [good[:-1], good + "?", good[:head]]
+        pad = 6 * len(body) - n * (n - 1) // 2
+        if pad:
+            texts.append(good[:-1] + chr((ord(good[-1]) - 63 | 1) + 63))
+    for text in texts:
+        assert error_message(parse_graph6, text) == \
+            error_message(ref_parse_graph6, text), repr(text)
+
+
+def test_graph6_refuses_a_size_it_cannot_encode_before_the_body():
+    g = Graph(258048)  # one more than the four-byte header holds
+    with pytest.raises(InputError, match="limited to n <= 258047"):
+        serialize_graph6(g)  # the body alone would be 3.3e10 flags
+
+
+def test_named_patterns_match_their_edge_lists():
+    for r in range(1, 7):
+        for s in range(1, 7):
+            edges = [(u, v) for u in range(r) for v in range(r, r + s)]
+            assert make_complete_bipartite(r, s) == Graph.from_edges(r + s, edges)
+    for r in range(4, 9):
+        edges = [(a + off, b + off) for off in (0, r)
+                 for a, b in itertools.combinations(range(r), 2)]
+        assert make_double_barbell(r) == \
+            Graph.from_edges(2 * r, edges + [(0, r), (1, r + 1)])
+
+
+def test_enumerated_graphs_follow_the_edge_mask():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask, g in enumerate(enumerate_labeled_graphs(n)):
+            assert g == Graph.from_edges(
+                n, [e for i, e in enumerate(pairs) if mask >> i & 1])

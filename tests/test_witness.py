@@ -177,6 +177,39 @@ def test_aizenman_lebowitz_on_closing_run():
     assert max(sizes) == 6 - 2  # the longest witness spans the path
 
 
+@pytest.mark.parametrize("name,short", [
+    ("K1,2", 1022), ("K1,3", 992), ("K3+K1", 972), ("paw", 25), ("K4", 0)])
+def test_aizenman_lebowitz_first_round_by_min_degree(name, short):
+    """M_1 = v_H - 2 needs delta_H >= 2; below it a first-round witness may
+    span fewer vertices, and only M_1 <= v_H - 2 is checked.  ``short``
+    counts the graphs on 5 vertices with M_1 < v_H - 2."""
+    h = {
+        "K1,2": make_complete_bipartite(1, 2),
+        "K1,3": make_complete_bipartite(1, 3),
+        "K3+K1": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+        "paw": SMALL_PATTERNS["paw"],
+        "K4": make_clique(4),
+    }[name]
+    seen = 0
+    for g in enumerate_labeled_graphs(5):
+        trace, recs = close_with_witnesses(g, h)
+        rep = check_aizenman_lebowitz(recs, trace, h)
+        assert rep.ok, (g.rows, rep.violations)
+        if trace.rounds:
+            m_1 = max(recs[e].size for e, _ in trace.rounds[0].added)
+            assert m_1 <= h.n - 2
+            seen += m_1 < h.n - 2
+    assert seen == short
+
+
+def test_aizenman_lebowitz_keeps_the_equality_at_min_degree_two():
+    h = make_clique(4)
+    trace, recs = close_with_witnesses(make_clique(4).without_edge(0, 1), h)
+    recs[(0, 1)] = dataclasses.replace(recs[(0, 1)], size=1)
+    assert check_aizenman_lebowitz(recs, trace, h).violations == \
+        ["M_1 = 1 != v_H - 2 = 2"]
+
+
 @pytest.mark.parametrize("name", ["K3", "K4", "K1,2", "K3+K1", *SMALL_PATTERNS])
 def test_witness_closures_hold_on_every_small_graph(name):
     # witnesses of patterns with delta_H <= 1 may use host vertices outside
