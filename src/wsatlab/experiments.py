@@ -177,7 +177,8 @@ def _map_trials(fn, items: list, workers: int | None) -> list:
     """``[fn(x) for x in items]``, in order: in-process at one worker
     (``worker_count(workers)``) or for at most one item, else on the process
     pool kept in ``_pool``, in chunks whose size depends on the item and
-    worker counts only.
+    worker counts only.  The pool runs at most one process per usable CPU;
+    it is keyed, and its chunks sized, by the worker count asked for.
 
     The pool is forked by the first pooled map and kept for the life of the
     process, so later maps at that worker count skip the start-up and the
@@ -206,7 +207,9 @@ def _map_trials(fn, items: list, workers: int | None) -> list:
 
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork") if fork else None
-        _pool = (ProcessPoolExecutor(max_workers=workers, mp_context=context,
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        _pool = (ProcessPoolExecutor(max_workers=min(workers, cpus), mp_context=context,
                                      initializer=_end_with_parent),
                  workers)
     chunk = max(1, len(items) // (4 * workers))
@@ -351,26 +354,20 @@ def bisect_pc(
 
     lo, hi = 0.0, 1.0
     p = start
-    if probe(p) >= 0.5:
-        hi = p
-        while len(probes) < MAX_PROBES:
+    while len(probes) < MAX_PROBES:
+        if probe(p) >= 0.5:
+            hi = p
+            if lo > 0:
+                break
             p /= 2
             if p < 1e-9:
                 # everything percolates down to negligible p
                 return PcEstimate(n, 0.0, (0.0, hi), trials, probes, True)
-            if probe(p) >= 0.5:
-                hi = p
-            else:
-                lo = p
-                break
-    else:
-        lo = p
-        while len(probes) < MAX_PROBES and p < 1.0:
-            p = min(1.0, p * 2)
-            if probe(p) >= 0.5:
-                hi = p
-                break
+        else:
             lo = p
+            if hi < 1 or p >= 1:
+                break
+            p = min(1.0, p * 2)
 
     while len(probes) < MAX_PROBES:
         mid = (lo + hi) / 2

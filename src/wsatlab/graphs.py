@@ -157,17 +157,11 @@ def edges_within(g: Graph, mask: int) -> int:
 # -- named patterns -------------------------------------------------------
 
 
-def make_complete(n: int) -> Graph:
-    if n < 1:
-        raise InputError("n >= 1 required")
-    full = (1 << n) - 1
-    return Graph.from_rows(n, [full ^ (1 << u) for u in range(n)])
-
-
 def make_clique(r: int) -> Graph:
     if r < 2:
         raise InputError("clique needs r >= 2")
-    return make_complete(r)
+    full = (1 << r) - 1
+    return Graph.from_rows(r, [full ^ (1 << u) for u in range(r)])
 
 
 def make_complete_bipartite(r: int, s: int) -> Graph:
@@ -181,7 +175,7 @@ def make_double_barbell(r: int) -> Graph:
     """Two copies of K_r joined by a pair of vertex-disjoint edges."""
     if r < 4:
         raise InputError("double barbell needs r >= 4")
-    k = make_complete(r).rows
+    k = make_clique(r).rows
     rows = k + [row << r for row in k]
     for a in (0, 1):
         rows[a] |= 1 << (r + a)

@@ -164,8 +164,8 @@ def verify_appendix_lemmas(v_max: int) -> Report:
     """Exhaustively check, over all labeled graphs H with 4 <= v_H <= v_max
     and delta_H >= 2, that balanced(H) iff every H\\e is 2-balanced, and
     that balanced implies connected."""
-    if v_max > 7:
-        raise InputError("exhaustive check limited to v_max <= 7")
+    if not 4 <= v_max <= 7:
+        raise InputError("exhaustive check needs 4 <= v_max <= 7")
     checked = 0
     violations: list[str] = []
     for n in range(4, v_max + 1):
@@ -193,15 +193,3 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
             if v > u:
                 out.add_edge(perm[u], perm[v])
     return out
-
-
-__all__ = [
-    "PatternStats",
-    "Report",
-    "analyze",
-    "compute_lambda_prime",
-    "densest_subgraph_profile",
-    "is_2_balanced",
-    "relabel",
-    "verify_appendix_lemmas",
-]

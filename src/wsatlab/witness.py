@@ -369,6 +369,9 @@ def check_edge_lower_bound(
     witnesses: dict[Edge, WitnessRecord], stats: PatternStats
 ) -> Report:
     rep = Report(name="edge-lower-bound")
+    if stats.lambda_star is None:  # v_H < 3: lambda* and its bound are undefined
+        rep.applicable = False
+        return rep
     hist: dict[tuple[int, Fraction], int] = {}
     for rec in witnesses.values():
         if rec.k < stats.v_h:
@@ -390,7 +393,9 @@ def check_edge_lower_bound(
 
 def check_component_bound(rea: REATrace, stats: PatternStats) -> Report:
     rep = Report(name="component-bound")
-    assert stats.lambda_star is not None
+    if stats.lambda_star is None:  # v_H < 3: lambda* and its bound are undefined
+        rep.applicable = False
+        return rep
     # nonred < lambda_** (v_C - v_H) + e_H - 1, times the denominator q > 0
     p, q = stats.lambda_star.numerator, stats.lambda_star.denominator
     v_h, offset = stats.v_h, (stats.e_h - 1) * q

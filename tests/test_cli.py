@@ -196,6 +196,13 @@ def test_verify_suite(capsys):
     assert json.loads(out)["result"]["violations"] == []
 
 
+def test_verify_refuses_vmax_below_4(capsys):
+    """Below 4 no graph would be checked, which would read as a pass."""
+    for vmax in ("3", "0", "-1"):
+        code, out, err = run(capsys, "verify", "--suite", "appendix", "--vmax", vmax)
+        assert code == 2 and out == "" and "4 <= v_max <= 7" in err
+
+
 def test_usage_errors(capsys, path4_file):
     code, _, err = run(capsys, "analyze", "--pattern", "NOPE")
     assert code == 2 and "unknown pattern" in err

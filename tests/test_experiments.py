@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -344,6 +345,99 @@ def test_bisect_pc_deterministic_across_workers():
     assert a.p_hat == b.p_hat and a.probes == b.probes
 
 
+def two_loop_bisect_pc(n, pattern, trials, tolerance, master_seed, workers=None):
+    """The earlier ``bisect_pc``, which grew its bracket with one loop that
+    halves p and a mirror loop that doubles it; the reference for the one
+    bracket loop."""
+    experiments._check_sizes(n, trials)
+    if not tolerance >= 0:
+        raise InputError("tolerance >= 0 required")
+    lam = experiments._lambda(pattern)
+    start = min(0.9, float(n) ** (-1.0 / lam)) if lam is not None else 0.5
+    probes = []
+
+    def probe(p):
+        succ = experiments._count_percolating(n, p, pattern, trials, master_seed,
+                                              len(probes) << 40, workers)
+        frac = succ / trials
+        probes.append((p, succ, trials, frac))
+        return frac
+
+    lo, hi = 0.0, 1.0
+    p = start
+    if probe(p) >= 0.5:
+        hi = p
+        while len(probes) < experiments.MAX_PROBES:
+            p /= 2
+            if p < 1e-9:
+                return experiments.PcEstimate(n, 0.0, (0.0, hi), trials, probes, True)
+            if probe(p) >= 0.5:
+                hi = p
+            else:
+                lo = p
+                break
+    else:
+        lo = p
+        while len(probes) < experiments.MAX_PROBES and p < 1.0:
+            p = min(1.0, p * 2)
+            if probe(p) >= 0.5:
+                hi = p
+                break
+            lo = p
+
+    while len(probes) < experiments.MAX_PROBES:
+        mid = (lo + hi) / 2
+        if hi - lo < tolerance * mid:
+            break
+        frac = probe(mid)
+        ci = wilson_interval(probes[-1][1], trials)
+        if ci[0] < 0.5 < ci[1]:
+            return experiments.PcEstimate(n, mid, (lo, hi), trials, probes, True)
+        if frac >= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    p_hat = (lo + hi) / 2
+    converged = hi - lo < tolerance * p_hat if p_hat > 0 else True
+    return experiments.PcEstimate(n, p_hat, (lo, hi), trials, probes, converged)
+
+
+def fake_probes(kind: str, case: int, threshold: float):
+    """A stand-in for ``_count_percolating``: a deterministic count of
+    percolating trials at p, with no graph drawn."""
+    def count(n, p, pattern, trials, master_seed, stream, workers):
+        if kind == "always":
+            return trials
+        if kind == "never":
+            return 0
+        if kind == "step":
+            return trials if p >= threshold else 0
+        # noisy: a logistic curve in log p plus seeded Gaussian noise
+        q = 1 / (1 + (threshold / p) ** 4)
+        noise = random.Random(f"{case}:{p!r}:{stream}").gauss(0, 1)
+        return min(trials, max(0, round(trials * q + noise * math.sqrt(trials * q * (1 - q)))))
+    return count
+
+
+def test_bisect_pc_one_bracket_loop_matches_the_two_loops(monkeypatch):
+    rng = random.Random(20201020)
+    n, h = 100, make_clique(4)
+    starts = [2e-9, 2.5e-9, 0.9, 0.95, 0.5, 1e-3]
+    for case in range(2000):
+        kind = ("always", "never", "step", "noisy")[case % 4]
+        threshold = 10 ** rng.uniform(-12, 0.3)
+        start = starts[case] if case < len(starts) else 10 ** rng.uniform(math.log10(2e-9), 0)
+        # n ** (-1 / lam) == start, up to rounding, and None starts at 0.5
+        lam = None if case % 50 == 7 else -math.log(n) / math.log(start)
+        trials = rng.choice((1, 2, 3, 5, 40, 399, 400, rng.randint(1, 400)))
+        tolerance = rng.choice((0.0, math.inf, rng.uniform(0, 0.5)))
+        monkeypatch.setattr(experiments, "_lambda", lambda pattern: lam)
+        monkeypatch.setattr(experiments, "_count_percolating",
+                            fake_probes(kind, case, threshold))
+        args = (n, h, trials, tolerance, case)
+        assert bisect_pc(*args) == two_loop_bisect_pc(*args), (case, kind, threshold)
+
+
 def test_ladder_base_experiment_small():
     out = ladder_base_experiment(20, make_clique(4), 60, 23, p=0.25, height=1)
     assert out["trials"] == 60
@@ -450,6 +544,31 @@ def test_one_pool_per_process_and_worker_count(monkeypatch):
         replaced = percolation_curve(18, k4, ps, 20, 11, workers=3)
     assert len(pools) == 2 and experiments._pool[0] is pools[1]
     assert replaced == serial_curve
+
+
+def test_the_pool_runs_at_most_one_process_per_usable_cpu(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process: nothing forks."""
+
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_pool", None)
+    k4, ps = make_clique(4), [0.15, 0.25, 0.35]
+    serial = percolation_curve(18, k4, ps, 20, 11, workers=1)
+    assert percolation_curve(18, k4, ps, 20, 11, workers=10**6) == serial
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert sizes == [min(10**6, cpus)] and experiments._pool[1] == 10**6
 
 
 def gone(pid: int, timeout: float = 10.0) -> bool:

@@ -1,17 +1,20 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and a
+module loads only the library modules it imports.
 
 No linter ships with the test dependencies, so this ``ast`` scan is the
-guard.  ``__init__.py`` (whose imports are re-exports) and ``__future__``
-imports are exempt.
+guard.  ``__future__`` imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wsatlab"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +46,20 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("module,loaded", [
+    ("graphs", ["wsatlab.graphs"]),
+    ("closure", ["wsatlab.closure", "wsatlab.graphs"]),
+])
+def test_a_module_loads_only_what_it_imports(module, loaded):
+    """The package re-exports nothing, so importing one module in a fresh
+    interpreter loads no other library module."""
+    script = (
+        f"import sys, wsatlab.{module}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('wsatlab.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout.split() == loaded

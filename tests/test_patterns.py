@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsatlab.graphs import Graph, make_clique, make_complete_bipartite, make_double_barbell
+from wsatlab.graphs import Graph, InputError, make_clique, make_complete_bipartite, make_double_barbell
 from wsatlab.patterns import (
     analyze,
     compute_lambda_prime,
@@ -120,3 +120,10 @@ def test_appendix_lemmas_hold_to_5():
     assert rep.name == "appendix"
     assert rep.checked == 263  # labeled graphs on 4 or 5 vertices with min degree >= 2
     assert rep.ok, rep.violations[:3]
+
+
+@pytest.mark.parametrize("v_max", [-1, 0, 3, 8])
+def test_appendix_lemmas_refuse_v_max_outside_4_to_7(v_max):
+    """Below 4 no graph would be checked, which would read as a pass."""
+    with pytest.raises(InputError, match="exhaustive check needs 4 <= v_max <= 7"):
+        verify_appendix_lemmas(v_max)

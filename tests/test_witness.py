@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from wsatlab.closure import RoundRecord, close
-from wsatlab.graphs import Graph, enumerate_labeled_graphs, make_clique, make_complete_bipartite
+from wsatlab.graphs import (Graph, enumerate_labeled_graphs, make_clique, make_complete_bipartite,
+                            parse_edge_list)
 from wsatlab.ladders import build_ladder
 from wsatlab.patterns import analyze
 from wsatlab.experiments import mix_seed, sample_gnp, theory_markers
@@ -110,6 +111,17 @@ def test_rea_component_bound_fields():
     rep = check_component_bound(rea, stats)
     assert rep.checked == len(rea.steps) > 0
     assert rep.ok, rep.violations
+
+
+def test_lower_bound_checks_do_not_apply_to_k2():
+    """lambda* is undefined for v_H = 2, so neither bound is checked."""
+    h = make_clique(2)
+    stats = analyze(h)
+    trace, recs = close_with_witnesses(parse_edge_list("4\n0 1\n"), h)
+    rep = check_edge_lower_bound(recs, stats)
+    assert not rep.applicable and rep.checked == 0 and rep.ok
+    rep = check_component_bound(rea_replay((0, 2), recs, trace, h), stats)
+    assert not rep.applicable and rep.checked == 0 and rep.ok
 
 
 def test_case2_bound_on_ladder():
