@@ -13,17 +13,20 @@ commands that never draw start without them.  numpy is imported by the
 first draw (``sample_gnp``) and by the functions that compute with arrays
 (``ladder_base_experiment``, ``fit_exponent``).
 
-Maps of more than one trial at more than one worker run on one process
-pool kept for the life of the process (``_map_trials``); every other map
-runs in-process.  The pool is forked after loading numpy, but not
-numpy.random, in the parent: the workers inherit numpy instead of each
-importing it, and only they draw, so numpy.random stays out of the
-parent.  It forks on every platform that has the fork start method, also
-where another method is the default (Linux from Python 3.14 on), and
-takes the platform default elsewhere.  The workers stop at interpreter
-exit, through ``concurrent.futures``' own exit hook, and each also ends
-once the parent has ended, so a parent that skips its exit hooks
-(``os._exit``, a signal) leaves none behind.
+A Monte Carlo call splits its trials into consecutive ranges, two per
+process that the pool runs (``_trial_ranges``), and sends each range as one
+task; the worker derives each trial's key itself, so a call sends a few
+messages rather than one tuple per trial.  A single range (one worker, one
+trial or one usable CPU) runs in-process; more run on one process pool
+kept for the life of the process (``_map_trials``).  The pool is forked
+after loading numpy, but not numpy.random, in the parent: the workers
+inherit numpy instead of each importing it, and only they draw, so
+numpy.random stays out of the parent.  It forks on every platform that has
+the fork start method, also where another method is the default (Linux
+from Python 3.14 on), and takes the platform default elsewhere.  The
+workers stop at interpreter exit, through ``concurrent.futures``' own exit
+hook, and each also ends once the parent has ended, so a parent that skips
+its exit hooks (``os._exit``, a signal) leaves none behind.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ import atexit
 import importlib
 import math
 import os
+import struct
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from .closure import percolates
 from .graphs import Graph, InputError
@@ -56,16 +62,15 @@ def mix_seed(master_seed: int, stream_id: int) -> int:
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ ((stream_id * _PHI64) & _MASK64))
 
 
-# Uniforms are drawn in blocks of this many, so one draw never holds the
-# n(n - 1)/2 float64s at once; each float64 consumes one 64-bit Philox
-# output, so the blocks do not change the stream.
+# Raw outputs are drawn in blocks of this many, so one draw never holds
+# all n(n - 1)/2 of them at once; the blocks do not change the stream.
 _BLOCK = 1 << 16
 
 _thread = threading.local()
 
 
 def _philox_stream(seed: int):
-    """This thread's numpy Generator(Philox), set to the start of the
+    """This thread's numpy Philox bit generator, set to the start of the
     stream of Philox(key=seed): counter 0, key [seed mod 2^64, 0], empty
     buffer.
 
@@ -75,10 +80,10 @@ def _philox_stream(seed: int):
     """
     import numpy as np
 
-    rng = getattr(_thread, "rng", None)
-    if rng is None:
-        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
+    bit_gen = getattr(_thread, "philox", None)
+    if bit_gen is None:
+        bit_gen = _thread.philox = np.random.Philox(0)
+    bit_gen.state = {
         "bit_generator": "Philox",
         "state": {
             "counter": np.zeros(4, dtype=np.uint64),
@@ -89,7 +94,19 @@ def _philox_stream(seed: int):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
+    return bit_gen
+
+
+@lru_cache(maxsize=16)
+def _row_layout(n: int):
+    """The index of pair (v, v + 1) for each row v, and a ``struct.Struct``
+    that cuts n packed rows of ceil(n/8) bytes apart in one ``unpack``."""
+    import numpy as np
+
+    v = np.arange(n)
+    starts = v * (2 * n - v - 1) // 2
+    starts.flags.writeable = False  # shared by every draw of this n
+    return starts, struct.Struct(f"{(n + 7) // 8}s" * n)
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -97,7 +114,11 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
     Pair k of the upper triangle in row-major order, (0, 1), (0, 2), ...,
     (n - 2, n - 1), is an edge iff the k-th uniform of the Philox stream
-    keyed by ``seed`` is below p.  A draw needs O(n^2) bytes of scratch.
+    keyed by ``seed`` is below p.  numpy's uniform from the 64-bit output x
+    is (x >> 11) * 2^-53, so the draw compares the raw outputs with the
+    integer threshold ceil(p * 2^53) * 2^11 instead, which keeps exactly
+    the same pairs; p = 1 keeps every pair.  A draw needs O(n^2) bytes of
+    scratch.
     """
     if not 0.0 <= p <= 1.0:
         raise InputError("p must be in [0,1]")
@@ -105,23 +126,21 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         raise InputError("n >= 1 required")
     import numpy as np
 
-    rng = _philox_stream(seed)
-    v = np.arange(n)
-    starts = v * (2 * n - v - 1) // 2       # index of pair (v, v + 1)
-    total = n * (n - 1) // 2
+    raw = _philox_stream(seed).random_raw
+    starts, layout = _row_layout(n)
+    # x < ceil(p * 2^53) * 2^11 as x <= last, which fits a uint64 also at
+    # p = 1; p = 0 keeps no pair and draws nothing
+    last = (math.ceil(p * 2**53) << 11) - 1
+    total = n * (n - 1) // 2 if p > 0 else 0
     a = np.zeros((n, n), dtype=bool)
     for off in range(0, total, _BLOCK):
-        k = np.flatnonzero(rng.random(min(_BLOCK, total - off)) < p) + off
+        k = np.flatnonzero(raw(min(_BLOCK, total - off)) <= last) + off
         i = np.searchsorted(starts, k, side="right") - 1
         j = k - starts[i] + i + 1
         a[i, j] = True
         a[j, i] = True
     data = np.packbits(a, axis=1, bitorder="little").tobytes()
-    w = (n + 7) // 8
-    from_bytes = int.from_bytes
-    return Graph.from_rows(
-        n, [from_bytes(data[x:x + w], "little") for x in range(0, n * w, w)]
-    )
+    return Graph.from_rows(n, map(int.from_bytes, layout.unpack(data), repeat("little")))
 
 
 # -- worker plumbing -----------------------------------------------------------
@@ -173,12 +192,34 @@ def _end_with_parent() -> None:
 atexit.register(_drop_pool)
 
 
-def _map_trials(fn, items: list, workers: int | None) -> list:
-    """``[fn(x) for x in items]``, in order: in-process at one worker
-    (``worker_count(workers)``) or for at most one item, else on the process
-    pool kept in ``_pool``, in chunks whose size depends on the item and
-    worker counts only.  The pool runs at most one process per usable CPU;
-    it is keyed, and its chunks sized, by the worker count asked for.
+def _processes(workers: int) -> int:
+    """The processes a pool asked for ``workers`` runs: at most one per
+    usable CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(workers, cpus)
+
+
+def _trial_ranges(trials: int, processes: int) -> list[tuple[int, int]]:
+    """Consecutive ranges (lo, hi) that partition ``range(trials)``: one at
+    one process, else two per process, none of them empty.  Two per process
+    let a process that drew quick trials take a second range while another
+    is still in a slow one."""
+    parts = 1 if processes <= 1 else min(trials, 2 * processes)
+    return [(trials * k // parts, trials * (k + 1) // parts) for k in range(parts)]
+
+
+def _map_trials(fn, n: int, p: float, pattern, trials: int, master_seed: int,
+                stream: int, workers: int | None) -> list:
+    """``fn`` on the tasks ``(n, p, master_seed, stream, lo, hi, pattern)``,
+    one per range of ``_trial_ranges(trials, P)``, in range order.  Each task
+    runs trials lo to hi - 1, trial t keyed ``mix_seed(master_seed, stream |
+    t)``, so the results do not depend on how the trials are split.  P is
+    ``_processes(worker_count(workers))``, the processes the pool runs, and
+    sizes both the pool and the ranges.  One range (one worker, one trial or
+    one usable CPU) runs in-process, more run on the process pool kept in
+    ``_pool``, one task per message.  The pool is keyed by the worker count
+    asked for.
 
     The pool is forked by the first pooled map and kept for the life of the
     process, so later maps at that worker count skip the start-up and the
@@ -192,8 +233,13 @@ def _map_trials(fn, items: list, workers: int | None) -> list:
     """
     global _pool
     workers = worker_count(workers)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    processes = _processes(workers)
+    # the task carries the pattern itself: pickling it once per task is
+    # cheaper than parsing graph6 in every trial
+    tasks = [(n, p, master_seed, stream, lo, hi, pattern)
+             for lo, hi in _trial_ranges(trials, processes)]
+    if len(tasks) <= 1:
+        return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -207,29 +253,29 @@ def _map_trials(fn, items: list, workers: int | None) -> list:
 
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork") if fork else None
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        _pool = (ProcessPoolExecutor(max_workers=min(workers, cpus), mp_context=context,
+        _pool = (ProcessPoolExecutor(max_workers=processes, mp_context=context,
                                      initializer=_end_with_parent),
                  workers)
-    chunk = max(1, len(items) // (4 * workers))
     try:
-        return list(_pool[0].map(fn, items, chunksize=chunk))
+        return list(_pool[0].map(fn, tasks))
     except BrokenProcessPool:
         _drop_pool()
         raise
 
 
-# Trial tasks carry the pattern Graph itself: pickle sends one shared object
-# once per pool chunk, which is cheaper than parsing graph6 in every trial.
-def _percolation_trial(args: tuple[int, float, int, Graph]) -> bool:
-    n, p, seed, h = args
-    return percolates(sample_gnp(n, p, seed), h)
+def _percolating_in_range(task: tuple) -> int:
+    """How many of the task's trials of G(n, p) percolate."""
+    n, p, master_seed, stream, lo, hi, h = task
+    return sum(percolates(sample_gnp(n, p, mix_seed(master_seed, stream | t)), h)
+               for t in range(lo, hi))
 
 
-def _ladder_count_trial(args: tuple[int, float, int, Ladder]) -> int:
-    n, p, seed, ladder = args
-    return count_induced_ladders_at(sample_gnp(n, p, seed), (0, 1), ladder)
+def _ladder_counts_in_range(task: tuple) -> list[int]:
+    """The induced ladders at the base (0, 1) in each of the task's trials."""
+    n, p, master_seed, stream, lo, hi, ladder = task
+    return [count_induced_ladders_at(sample_gnp(n, p, mix_seed(master_seed, stream | t)),
+                                     (0, 1), ladder)
+            for t in range(lo, hi)]
 
 
 def _check_sizes(n: int, trials: int) -> None:
@@ -244,10 +290,8 @@ def _count_percolating(
     workers: int | None,
 ) -> int:
     """Trials of G(n, p) that percolate; trial t draws stream ``stream | t``."""
-    tasks = [
-        (n, p, mix_seed(master_seed, stream | t), pattern) for t in range(trials)
-    ]
-    return sum(_map_trials(_percolation_trial, tasks, workers))
+    return sum(_map_trials(_percolating_in_range, n, p, pattern, trials, master_seed,
+                           stream, workers))
 
 
 # -- percolation probability ----------------------------------------------------
@@ -287,6 +331,8 @@ def percolation_curve(
     workers: int | None = None,
 ) -> list[CurvePoint]:
     _check_sizes(n, trials)
+    if not all(0.0 <= p <= 1.0 for p in ps):  # NaN included
+        raise InputError("p must be in [0,1]")
     points = []
     for pi, p in enumerate(ps):
         succ = _count_percolating(n, p, pattern, trials, master_seed, pi << 32,
@@ -483,8 +529,9 @@ def ladder_base_experiment(
         report["constraint_values"] = {"log2": lo, "inv_lambda_beta": mid,
                                        "vh2_log_alpha": hi}
     formula = expected_ladder_count(n, p, ladder)
-    tasks = [(n, p, mix_seed(master_seed, t), ladder) for t in range(trials)]
-    counts = _map_trials(_ladder_count_trial, tasks, workers)
+    counts = [c for part in _map_trials(_ladder_counts_in_range, n, p, ladder, trials,
+                                        master_seed, 0, workers)
+              for c in part]
     import numpy as np
 
     counts_arr = np.asarray(counts, dtype=float)

@@ -179,6 +179,19 @@ def test_curve_csv(capsys):
     assert lines[2].startswith("10,1,8,8,1")
 
 
+def test_curve_refuses_a_bad_grid_before_any_trial(capsys, monkeypatch):
+    from wsatlab import experiments
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the grid was checked")
+
+    monkeypatch.setattr(experiments, "_count_percolating", no_trials)
+    for grid in ("0.1,0.2,7", "0.5,nan"):
+        code, out, err = run(capsys, "curve", "--n", "10", "--pattern", "K3",
+                             "--grid", grid, "--trials", "8", "--workers", "2")
+        assert code == 2 and out == "" and "p must be in [0,1]" in err
+
+
 def test_pc_search_json(capsys):
     code, out, _ = run(capsys, "pc-search", "--n", "25", "--pattern", "K3",
                        "--trials", "40", "--seed", "2", "--tol", "0.25",

@@ -104,6 +104,59 @@ def test_sample_gnp_memory_peak():
     assert peak <= 6 * 2**20
 
 
+# p at the edges of the float grid: 0, the least subnormal, the least
+# uniform step, both neighbours of 0.5, the last uniform step below 1, and 1
+EDGE_PS = (0.0, 5e-324, 2.0**-53, math.nextafter(0.5, 0), 0.5,
+           math.nextafter(0.5, 1), 1 - 2.0**-53, 1.0)
+
+
+def raw_threshold(p: float) -> int:
+    return math.ceil(p * 2**53) << 11
+
+
+def test_raw_threshold_keeps_the_pairs_whose_uniform_is_below_p():
+    """numpy's uniform from a raw output x is (x >> 11) * 2^-53, so x below
+    ceil(p * 2^53) * 2^11 keeps exactly the pairs with uniform below p."""
+    for seed in (0, 97, (1 << 64) - 12345):
+        raw = np.random.Philox(key=seed).random_raw(1 << 16).tolist()
+        uniforms = np.random.Generator(np.random.Philox(key=seed)).random(1 << 16)
+        for p in EDGE_PS:
+            t = raw_threshold(p)
+            assert [x < t for x in raw] == (uniforms < p).tolist(), (seed, p)
+    # the outputs next to each threshold, which a stream block rarely holds
+    ps = EDGE_PS + tuple(random.Random(25).random() for _ in range(200))
+    for p in ps:
+        t = raw_threshold(p)
+        for x in {t - 2**11 - 1, t - 2**11, t - 1, t, t + 2**11 - 1, t + 2**11}:
+            if 0 <= x < 2**64:
+                assert ((x >> 11) * 2.0**-53 < p) == (x < t), (p, x)
+
+
+@pytest.mark.parametrize("n", [2, 9, 100, 363])
+def test_sample_gnp_matches_reference_at_the_float_edges(n):
+    for p in EDGE_PS:
+        for seed in (0, 97):
+            assert sample_gnp(n, p, seed).rows == reference_sample_gnp(n, p, seed).rows, (n, p)
+
+
+def test_sample_gnp_is_exact_at_a_pair_uniform():
+    """At p equal to pair (0, 1)'s uniform u the pair is absent, and at the
+    next float above u it is present.  The seeds whose first raw output
+    ends in eleven 0 bits and in eleven 1 bits put u on either edge of its
+    step of the integer threshold."""
+    def low_bits(seed):
+        return int(np.random.Philox(key=seed).random_raw()) & 2047
+
+    seeds = [0, 97, next(s for s in range(1 << 20) if low_bits(s) == 0),
+             next(s for s in range(1 << 20) if low_bits(s) == 2047)]
+    for seed in seeds:
+        u = float(np.random.Generator(np.random.Philox(key=seed)).random())
+        for p, edge in ((u, False), (math.nextafter(u, 1), True)):
+            g = sample_gnp(5, p, seed)
+            assert g.has_edge(0, 1) == edge, (seed, p)
+            assert g.rows == reference_sample_gnp(5, p, seed).rows, (seed, p)
+
+
 def test_sample_gnp_threads_draw_the_serial_stream():
     cases = [(60 + t, 0.1 * (1 + t % 5), mix_seed(31, t)) for t in range(24)]
     expect = [sample_gnp(*c).rows for c in cases]
@@ -232,6 +285,18 @@ def test_percolation_curve_extremes():
     pts = percolation_curve(12, make_clique(3), [0.0, 1.0], 25, 5)
     assert pts[0].fraction == 0.0
     assert pts[1].fraction == 1.0
+
+
+def test_percolation_curve_checks_the_whole_grid_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the grid was checked")
+
+    monkeypatch.setattr(experiments, "_count_percolating", no_trials)
+    k3 = make_clique(3)
+    for grid in ([0.1, 0.2, 7.0], [float("nan")], [0.5, -0.1], [0.3, math.inf],
+                 [math.nextafter(1.0, 2)]):
+        with pytest.raises(InputError, match=r"p must be in \[0,1\]"):
+            percolation_curve(12, k3, grid, 5, 1, workers=2)
 
 
 def test_percolation_curve_worker_invariance():
@@ -512,6 +577,23 @@ def test_ladder_experiment_takes_exactly_one_parameter_pair():
             ladder_base_experiment(30, k4, 3, 1, **params)
 
 
+def test_trial_ranges_partition_the_trials():
+    for processes in range(1, 6):
+        for trials in range(1, 51):
+            ranges = experiments._trial_ranges(trials, processes)
+            assert len(ranges) == (1 if processes == 1 else min(trials, 2 * processes))
+            assert all(lo < hi for lo, hi in ranges)
+            covered = [t for lo, hi in ranges for t in range(lo, hi)]
+            assert covered == list(range(trials)), (trials, processes)
+
+
+def test_ladder_experiment_is_the_same_at_any_worker_count():
+    k4 = make_clique(4)
+    outs = [ladder_base_experiment(20, k4, 12, 23, p=0.3, height=1, workers=w)
+            for w in (1, 2, 3)]
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_one_pool_per_process_and_worker_count(monkeypatch):
     pools = []
 
@@ -547,28 +629,49 @@ def test_one_pool_per_process_and_worker_count(monkeypatch):
 
 
 def test_the_pool_runs_at_most_one_process_per_usable_cpu(monkeypatch):
-    sizes = []
+    """The pool and the trial ranges are sized by the processes that run,
+    not by the worker count asked for, and every map sends one task per
+    range, of the one task shape (n, p, master_seed, stream, lo, hi,
+    pattern)."""
+    sizes, maps = [], []
 
     class InProcessPool:
-        """Records the pool size and maps in this process: nothing forks."""
+        """Records the pool size and each map's function and tasks, and maps
+        in this process: nothing forks."""
 
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
 
         def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+            maps.append((fn, list(items)))
+            return map(fn, maps[-1][1])
 
         def shutdown(self, wait=True):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_pool", None)
+    # four usable CPUs on any machine: the pool forks nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     k4, ps = make_clique(4), [0.15, 0.25, 0.35]
     serial = percolation_curve(18, k4, ps, 20, 11, workers=1)
+    serial_ladder = ladder_base_experiment(18, k4, 20, 11, p=0.3, height=1, workers=1)
+    assert maps == []
     assert percolation_curve(18, k4, ps, 20, 11, workers=10**6) == serial
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    assert sizes == [min(10**6, cpus)] and experiments._pool[1] == 10**6
+    assert ladder_base_experiment(18, k4, 20, 11, p=0.3, height=1, workers=10**6) == \
+        serial_ladder
+    assert sizes == [4] and experiments._pool[1] == 10**6
+    ranges = experiments._trial_ranges(20, 4)
+    assert len(ranges) == 2 * 4
+    ladder = build_ladder(k4, 1)
+    assert maps == [
+        (experiments._percolating_in_range,
+         [(18, p, 11, pi << 32, lo, hi, k4) for lo, hi in ranges])
+        for pi, p in enumerate(ps)
+    ] + [(experiments._ladder_counts_in_range,
+          [(18, 0.3, 11, 0, lo, hi, ladder) for lo, hi in ranges])]
+    assert not hasattr(experiments, "_percolation_trial")
+    assert not hasattr(experiments, "_ladder_count_trial")
 
 
 def gone(pid: int, timeout: float = 10.0) -> bool:
